@@ -26,22 +26,25 @@ Every cached artifact is a pure function of its key, which is what makes
 the sharing bit-identical to the naive per-cell recomputation: the same
 arrays flow into the same operations in the same order.
 
-Fold dispatch optionally fans out across processes via a
+Every fold — serial or pooled, exact or hist — runs one task,
+:func:`_fit_predict_fold`, over ``(model, X, Y, groups, codes, held-out
+benchmark, probe row, scaler params)``; the task re-derives its
+``X[mask]``/``Y[mask]`` views and scaled probe itself.  Fold dispatch
+optionally fans out across processes via a
 :class:`~repro.parallel.worker_pool.WorkerPool` (the grid runners pass a
-persistent one; ad-hoc calls get a transient pool).  When the pool's
-shared-memory plane is available the engine *publishes* the feature and
-target matrices once per campaign/encoding and ships each fold as a tiny
-descriptor — ``(model, array refs, held-out benchmark, scaler params)``
-— instead of pickling per-fold matrix copies; the worker re-derives its
-``X[mask]``/``Y[mask]`` views from the shared arrays.  Folds are
-independent by construction — each held-out benchmark refit consumes
-only per-fold inputs, and the KS-scoring RNG is keyed per benchmark with
+persistent one; ad-hoc calls get a transient pool), which *shares* the
+task's matrices once per campaign/encoding: shared-memory descriptors
+when the pool's store works, the plain arrays (pickled) when it does
+not.  The one exception is the boosting lockstep batch, which grows every
+fold's trees together in-process.  Folds are independent by
+construction — each held-out benchmark refit consumes only per-fold
+inputs, and the KS-scoring RNG is keyed per benchmark with
 :func:`~repro.parallel.seeding.seed_for` — so worker count, pool reuse
-and the dispatch plane (pickle vs shm) never change results.
+and the shared-memory fallback never change results.
 
 When :mod:`repro.obs` is enabled the engine emits per-fold ``fold``
-spans (serial path) or one ``fold_batch`` span (parallel dispatch) plus
-the ``engine.*`` dedup/hit counters documented in
+spans (inline folds) or one ``fold_batch`` span (pooled dispatch and
+lockstep) plus the ``engine.*`` dedup/hit counters documented in
 ``docs/OBSERVABILITY.md``; all of it is bit-neutral bookkeeping.
 """
 
@@ -55,10 +58,10 @@ from ..data.dataset import RunCampaign
 from ..errors import ValidationError
 from ..ml.base import Regressor
 from ..ml.binning import BinMapper, BinnedMatrix
-from ..ml.boosting import GradientBoostingRegressor, can_lockstep, fit_predict_folds
+from ..ml.boosting import can_lockstep, fit_predict_folds
 from ..ml.scaling import RobustScaler
 from ..parallel.seeding import seed_for
-from ..parallel.shm import attach
+from ..parallel.shm import ArrayRef, attach
 from ..parallel.worker_pool import WorkerPool
 from .features import FeatureConfig, profile_features
 from .representations import DistributionRepresentation
@@ -68,80 +71,42 @@ __all__ = ["FewRunsDesign", "CrossSystemDesign", "logo_fold_vectors"]
 _PROBE_SEED = 909090
 
 
+def _resolve(array):
+    """The array behind a task field: attach an :class:`ArrayRef`,
+    pass a plain ndarray through."""
+    return attach(array) if isinstance(array, ArrayRef) else array
+
+
 def _fit_predict_fold(task) -> np.ndarray:
     """Fit one LOGO fold and predict the held-out probe vector.
 
     Top-level so it pickles for process-pool dispatch.  ``task`` is
-    ``(model, X_train_scaled, Y_train, x_probe_scaled)``; the clone makes
-    the fit independent of any sibling fold.
+    ``(model, X, Y, groups, codes, bench, probe, center, scale)``:
+    the full matrices, the binned matrix's ``(codes, n_bins, lo, hi)``
+    for a hist model (``None`` otherwise), the held-out benchmark, its
+    raw probe row and the parent-fitted robust-scaler parameters.  Each
+    array field is either a shared-memory :class:`ArrayRef` or a plain
+    ndarray (pickled or inline); the fold's training views are
+    re-derived here either way, so every plane fits bit-for-bit the same
+    matrices.  The clone makes the fit independent of any sibling fold.
     """
-    model, Xs, Ys, xp = task
-    return model.clone().fit(Xs, Ys).predict(xp)[0]
-
-
-def _fit_predict_fold_shm(task) -> np.ndarray:
-    """Zero-copy variant of :func:`_fit_predict_fold`.
-
-    ``task`` ships only descriptors: the shared-array refs of the full
-    ``(X, Y, groups)`` matrices, the held-out benchmark name, the raw
-    probe row and the parent-fitted robust-scaler parameters.  The
-    worker re-derives the per-fold training views from the shared
-    arrays and applies the identical affine transform, so the fitted
-    model consumes bit-for-bit the same matrices the pickling path
-    would have shipped.
-    """
-    model, x_ref, y_ref, g_ref, bench, probe, center, scale = task
-    X = attach(x_ref)
-    Y = attach(y_ref)
-    groups = attach(g_ref)
+    model, X, Y, groups, codes, bench, probe, center, scale = task
+    X, Y, groups = _resolve(X), _resolve(Y), _resolve(groups)
     mask = groups != bench
     scaler = RobustScaler()
     scaler.center_ = center
     scaler.scale_ = scale
     Xs = scaler.transform(X[mask])
     xp = scaler.transform(probe[None, :])
-    return model.clone().fit(Xs, Y[mask]).predict(xp)[0]
-
-
-def _fit_predict_fold_hist(task) -> np.ndarray:
-    """Binned-plane pickling variant of :func:`_fit_predict_fold`.
-
-    ``task`` is ``(model, fold_binned, Y_train, x_probe_scaled)`` where
-    ``fold_binned`` already carries the fold's training rows with bounds
-    re-expressed in its scaled feature space, so the worker fits X-free.
-    """
-    model, fb, Ys, xp = task
-    return model.clone().fit_binned(fb, Ys).predict(xp)[0]
-
-
-def _fit_predict_fold_hist_shm(task) -> np.ndarray:
-    """Zero-copy binned plane: fit from shared uint8 codes.
-
-    ``task`` ships the shared-array refs of the full binned matrix
-    (codes, per-feature bin counts and bounds) plus ``Y``/``groups``,
-    the held-out benchmark, the raw probe row and the parent-fitted
-    scaler parameters.  The worker rebuilds the fold's
-    :class:`~repro.ml.binning.BinnedMatrix` — codes are invariant under
-    the per-fold robust scaling, only the bounds move — and fits without
-    ever touching the float64 feature matrix.
-    """
-    (model, c_ref, nb_ref, lo_ref, hi_ref, y_ref, g_ref,
-     bench, probe, center, scale) = task
-    binned = BinnedMatrix(
-        codes=attach(c_ref),
-        n_bins=attach(nb_ref),
-        lo=attach(lo_ref),
-        hi=attach(hi_ref),
-    )
-    Y = attach(y_ref)
-    groups = attach(g_ref)
-    mask = groups != bench
-    fb = binned.scaled(center, scale).take_rows(mask)
-    scaler = RobustScaler()
-    scaler.center_ = center
-    scaler.scale_ = scale
-    xp = scaler.transform(probe[None, :])
-    return model.clone().fit_binned(fb, Y[mask]).predict(xp)[0]
+    fitted = model.clone()
+    if codes is None:
+        fitted.fit(Xs, Y[mask])
+    else:
+        # Codes are invariant under the fold's (monotone) scaling; only
+        # the bin bounds move.
+        binned = BinnedMatrix(*(_resolve(a) for a in codes))
+        fitted.fit(Xs, Y[mask], binned=binned.scaled(center, scale).take_rows(mask))
+    return fitted.predict(xp)[0]
 
 
 def _hist_model(model: Regressor) -> bool:
@@ -149,23 +114,11 @@ def _hist_model(model: Regressor) -> bool:
     return getattr(model, "tree_method", None) == "hist"
 
 
-def _hist_dispatchable(model: Regressor) -> bool:
-    """Whether a hist model can fit X-free in a pool worker.
-
-    Boosting needs the raw matrix when row subsampling is on (the
-    running-prediction update walks rows the round never trained on);
-    everything else with a ``fit_binned`` entry point ships as codes.
-    """
-    if isinstance(model, GradientBoostingRegressor):
-        return model.subsample == 1.0  # repro: noqa[DET005]
-    return hasattr(model, "fit_binned")
-
-
 def _wants_serial(model: Regressor) -> bool:
     """Whether fold dispatch must stay serial to preserve results.
 
     A stateful ``np.random.Generator`` on the model is advanced by each
-    successive fold in the serial path; pickling would hand every worker
+    successive fold when folds run inline; pickling would hand every worker
     the same generator state.  Registry models carry integer seeds and
     parallelize freely.
     """
@@ -191,16 +144,16 @@ def logo_fold_vectors(
     predict the benchmark's probe vector.  Returns name -> vector.
 
     ``scaled_folds`` optionally caches the per-fold scaler products
-    ``(X_train_scaled, x_probe_scaled, train_mask, scaler)`` keyed by
-    benchmark; they depend only on ``(X, probe_features)``, so a grid
-    sweep can share them across every (representation, model) cell with
-    the same feature rows.
+    ``(x_probe_scaled, train_mask, scaler)`` keyed by benchmark; they
+    depend only on ``(X, probe_features)``, so a grid sweep can share
+    them across every (representation, model) cell with the same
+    feature rows.
 
     ``pool`` optionally supplies a persistent
     :class:`~repro.parallel.worker_pool.WorkerPool`; without one, a
-    transient pool is created per call.  When the pool's shared-memory
-    plane is available, ``X``/``Y``/``groups`` are published once and
-    fold tasks ship only descriptors (see :func:`_fit_predict_fold_shm`).
+    transient pool is created per call.  Every fold runs
+    :func:`_fit_predict_fold` — inline, or on the pool over shared
+    arrays (see :func:`_dispatch_folds`).
 
     For a hist-mode model (``model.tree_method == "hist"``), ``binned``
     optionally supplies the pre-binned matrix of ``X`` (the engine's
@@ -214,8 +167,8 @@ def logo_fold_vectors(
     process fan-out).
 
     Results are bit-identical for any ``n_workers``, with or without a
-    persistent pool, on either dispatch plane: each fold consumes only
-    its own inputs and a deterministic model clone.
+    persistent pool, on either side of the shared-memory fallback: each
+    fold consumes only its own inputs and a deterministic model clone.
     """
     names = sorted(probe_features)
     hist = _hist_model(model)
@@ -228,171 +181,84 @@ def logo_fold_vectors(
             obs.counter("engine.scaled_folds.misses")
             mask = groups != bench
             scaler = RobustScaler().fit(X[mask])
-            cached = (
-                scaler.transform(X[mask]),
-                scaler.transform(probe_features[bench][None, :]),
-                mask,
-                scaler,
-            )
+            cached = (scaler.transform(probe_features[bench][None, :]), mask, scaler)
             if scaled_folds is not None:
                 scaled_folds[bench] = cached
         else:
             obs.counter("engine.scaled_folds.hits")
         folds.append(cached)
     obs.counter("engine.folds.fitted", len(folds))
-    if hist and can_lockstep(model, [f[2] for f in folds]):
+    if hist and can_lockstep(model, [mask for _xp, mask, _scaler in folds]):
         # Lockstep beats fold-level process fan-out here (one kernel
         # call covers every fold), so it runs in-process for any
         # n_workers — which also makes worker-count invariance trivial.
         lockstep_folds = [
             (mask, scaler.center_, scaler.scale_, xp[0])
-            for (_Xs, xp, mask, scaler) in folds
+            for (xp, mask, scaler) in folds
         ]
         with obs.span("fold_batch", n_folds=len(folds), n_workers=1,
                       plane="lockstep"):
             preds = fit_predict_folds(model, binned, Y, lockstep_folds)
         return dict(zip(names, preds))
-    if (
-        n_workers == 1
-        or _wants_serial(model)
-        or (hist and not _hist_dispatchable(model))
-    ):
-        vectors = []
-        for bench, (Xs, xp, mask, scaler) in zip(names, folds):
-            with obs.span("fold", benchmark=bench):
-                if hist:
-                    fb = binned.scaled(
-                        scaler.center_, scaler.scale_
-                    ).take_rows(mask)
-                    vectors.append(
-                        model.clone().fit(Xs, Y[mask], binned=fb).predict(xp)[0]
-                    )
-                else:
-                    vectors.append(_fit_predict_fold((model, Xs, Y[mask], xp)))
-        return dict(zip(names, vectors))
-    hist_binned = binned if hist else None
+    codes = None if binned is None else (
+        binned.codes, binned.n_bins, binned.lo, binned.hi
+    )
+    arrays = (X, Y, groups, codes)
+    fold_args = [
+        (bench, probe_features[bench], scaler.center_, scaler.scale_)
+        for bench, (_xp, _mask, scaler) in zip(names, folds)
+    ]
     if pool is not None:
-        vectors = _dispatch_folds(pool, model, X, Y, groups, names, folds,
-                                  probe_features, n_workers,
-                                  binned=hist_binned)
+        vectors = _dispatch_folds(pool, model, arrays, fold_args, n_workers)
     else:
         with WorkerPool(n_workers) as transient:
-            vectors = _dispatch_folds(transient, model, X, Y, groups, names,
-                                      folds, probe_features, n_workers,
-                                      binned=hist_binned)
+            vectors = _dispatch_folds(transient, model, arrays, fold_args,
+                                      n_workers)
     return dict(zip(names, vectors))
 
 
 def _dispatch_folds(
     pool: WorkerPool,
     model: Regressor,
-    X: np.ndarray,
-    Y: np.ndarray,
-    groups: np.ndarray,
-    names: list[str],
-    folds: list[tuple],
-    probe_features: dict[str, np.ndarray],
+    arrays: tuple,
+    fold_args: list[tuple],
     n_workers: int,
-    binned: BinnedMatrix | None = None,
 ) -> list[np.ndarray]:
-    """Fan folds out through *pool*, zero-copy when shared memory works.
+    """Run :func:`_fit_predict_fold` once per fold, preserving order.
 
-    With ``binned`` (hist-mode models), the published payload is the
-    uint8 code matrix plus its bin bounds instead of the float64
-    features — codes are 8x smaller than ``X`` and the bounds cap at
-    ``max_bins`` rows per feature, so the published bytes stop scaling
-    with row count.  Publication failures (shm mount vanished mid-run)
-    degrade to the pickling plane; all planes produce bit-identical
-    vectors.
+    ``arrays`` is ``(X, Y, groups, codes)`` and each ``fold_args``
+    entry is ``(bench, probe, center, scale)``.  Inline
+    (``n_workers == 1`` or :func:`_wants_serial`) the folds run in this
+    process, in order, one ``fold`` span each.  Otherwise the matrices
+    go through :meth:`~repro.parallel.worker_pool.WorkerPool.share`
+    once: every task then carries shared-memory descriptors, or — with
+    no usable store — the plain arrays, which pickle.  The
+    ``fold_batch`` span's ``plane`` records which ran; all paths
+    produce bit-identical vectors.
     """
-    if binned is not None:
-        return _dispatch_folds_hist(
-            pool, model, binned, Y, groups, names, folds, probe_features,
-            n_workers,
+    if n_workers == 1 or _wants_serial(model):
+        vectors = []
+        for fold in fold_args:
+            with obs.span("fold", benchmark=fold[0]):
+                vectors.append(_fit_predict_fold((model, *arrays, *fold)))
+        return vectors
+    codes = arrays[3]
+    flat = (*arrays[:3], *(codes or ()))
+    shared = pool.share(flat)
+    plane = "pickle"
+    if isinstance(shared[0], ArrayRef):
+        obs.counter(
+            "pool.shm_bytes_saved", len(fold_args) * sum(a.nbytes for a in flat)
         )
-    store = pool.shm
-    refs = None
-    if store is not None:
-        try:
-            refs = (store.publish(X), store.publish(Y), store.publish(groups))
-        except Exception:
-            refs = None
-    if refs is not None:
-        x_ref, y_ref, g_ref = refs
-        tasks = []
-        saved = 0
-        for bench, (Xs, xp, mask, scaler) in zip(names, folds):
-            tasks.append(
-                (model, x_ref, y_ref, g_ref, bench, probe_features[bench],
-                 scaler.center_, scaler.scale_)
-            )
-            saved += Xs.nbytes + xp.nbytes + int(mask.sum()) * Y.shape[1] * Y.itemsize
-        obs.counter("pool.shm_bytes_saved", saved)
-        fold_fn, plane = _fit_predict_fold_shm, "shm"
-    else:
-        tasks = [
-            (model, Xs, Y[mask], xp) for Xs, xp, mask, _scaler in folds
-        ]
-        fold_fn, plane = _fit_predict_fold, "pickle"
-    with obs.span("fold_batch", n_folds=len(tasks), n_workers=n_workers,
+        plane = "shm"
+    if codes is not None:
+        plane = "hist-" + plane
+    arrays = (*shared[:3], None if codes is None else tuple(shared[3:]))
+    with obs.span("fold_batch", n_folds=len(fold_args), n_workers=n_workers,
                   plane=plane):
-        return pool.map(fold_fn, tasks)
-
-
-def _dispatch_folds_hist(
-    pool: WorkerPool,
-    model: Regressor,
-    binned: BinnedMatrix,
-    Y: np.ndarray,
-    groups: np.ndarray,
-    names: list[str],
-    folds: list[tuple],
-    probe_features: dict[str, np.ndarray],
-    n_workers: int,
-) -> list[np.ndarray]:
-    """Binned-plane fold fan-out: workers fit from shared uint8 codes."""
-    store = pool.shm
-    refs = None
-    if store is not None:
-        try:
-            refs = (
-                store.publish(binned.codes),
-                store.publish(binned.n_bins),
-                store.publish(binned.lo),
-                store.publish(binned.hi),
-                store.publish(Y),
-                store.publish(groups),
-            )
-        except Exception:
-            refs = None
-    if refs is not None:
-        c_ref, nb_ref, lo_ref, hi_ref, y_ref, g_ref = refs
-        tasks = []
-        saved = 0
-        bounds_bytes = binned.n_bins.nbytes + binned.lo.nbytes + binned.hi.nbytes
-        for bench, (_Xs, xp, mask, scaler) in zip(names, folds):
-            tasks.append(
-                (model, c_ref, nb_ref, lo_ref, hi_ref, y_ref, g_ref,
-                 bench, probe_features[bench], scaler.center_, scaler.scale_)
-            )
-            m = int(mask.sum())
-            saved += (
-                m * binned.n_features * binned.codes.itemsize
-                + bounds_bytes
-                + m * Y.shape[1] * Y.itemsize
-                + xp.nbytes
-            )
-        obs.counter("pool.shm_bytes_saved", saved)
-        fold_fn, plane = _fit_predict_fold_hist_shm, "hist-shm"
-    else:
-        tasks = []
-        for bench, (_Xs, xp, mask, scaler) in zip(names, folds):
-            fb = binned.scaled(scaler.center_, scaler.scale_).take_rows(mask)
-            tasks.append((model, fb, Y[mask], xp))
-        fold_fn, plane = _fit_predict_fold_hist, "hist-pickle"
-    with obs.span("fold_batch", n_folds=len(tasks), n_workers=n_workers,
-                  plane=plane):
-        return pool.map(fold_fn, tasks)
+        return pool.map(
+            _fit_predict_fold, [(model, *arrays, *fold) for fold in fold_args]
+        )
 
 
 class _VectorCacheMixin:

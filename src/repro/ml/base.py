@@ -22,7 +22,6 @@ from ..errors import NotFittedError
 __all__ = [
     "Regressor",
     "validate_fit_inputs",
-    "validate_binned_targets",
     "validate_predict_input",
 ]
 
@@ -41,28 +40,6 @@ def validate_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"y must be 1-D or 2-D, got shape {yv.shape}")
     check_matching_length(Xv, yv, names=("X", "y"))
     return Xv, yv
-
-
-def validate_binned_targets(binned, y) -> np.ndarray:
-    """Validate (binned, y) for an X-free histogram fit.
-
-    The binned-codes twin of :func:`validate_fit_inputs`: promotes a 1-D
-    target to a single column and checks it against the binned row
-    count.  Used by the ``fit_binned`` entry points, where workers
-    receive uint8 codes plus bin bounds instead of the float64 feature
-    matrix.
-    """
-    yv = np.asarray(y, dtype=np.float64)
-    if yv.ndim == 1:
-        yv = yv.reshape(-1, 1)
-    if yv.ndim != 2:
-        raise ValueError(f"y must be 1-D or 2-D, got shape {yv.shape}")
-    if yv.shape[0] != binned.n_rows:
-        raise ValueError(
-            f"length mismatch: binned matrix has {binned.n_rows} rows, "
-            f"y has {yv.shape[0]}"
-        )
-    return yv
 
 
 def validate_predict_input(model: "Regressor", X) -> np.ndarray:

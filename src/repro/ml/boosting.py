@@ -136,20 +136,17 @@ class GradientBoostingRegressor(Regressor):
         and no per-round ``tree._predict`` walk or full-vector residual
         re-derivation happens — bit-identical to the unfused update.
         """
-        from .binning import BinMapper, BinnedMatrix
+        from .binning import BinMapper
         from .hist import BoostFusion, TreeSpec, feature_code_order, grow_trees
 
-        if Xv is None:
-            n, d = binned.n_rows, binned.n_features
-        else:
-            n, d = Xv.shape
-            if binned is None:
-                binned = BinMapper().fit_transform(Xv)
-            elif (binned.n_rows, binned.n_features) != (n, d):
-                raise ValidationError(
-                    f"binned matrix is {(binned.n_rows, binned.n_features)}, "
-                    f"X is {(n, d)}"
-                )
+        n, d = Xv.shape
+        if binned is None:
+            binned = BinMapper().fit_transform(Xv)
+        elif (binned.n_rows, binned.n_features) != (n, d):
+            raise ValidationError(
+                f"binned matrix is {(binned.n_rows, binned.n_features)}, "
+                f"X is {(n, d)}"
+            )
         k = yv.shape[1]
         grouped = feature_code_order(binned.codes)
         self.base_prediction_ = yv.mean(axis=0)
@@ -256,28 +253,6 @@ class GradientBoostingRegressor(Regressor):
         self.n_features_ = d
         self.n_outputs_ = k
         return self
-
-    def fit_binned(self, binned, y) -> "GradientBoostingRegressor":
-        """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
-
-        X-free entry point of the ``tree_method="hist"`` path for pool
-        workers.  Requires ``subsample=1.0``: with every row in every
-        round, the running prediction updates through the kernel's
-        ``leaf_of_row`` routing and the raw feature matrix is never
-        consulted.  Bit-identical to ``fit(X, y, binned=binned)``.
-        """
-        if self.tree_method != "hist":
-            raise ValidationError("fit_binned requires tree_method='hist'")
-        if self.subsample != 1.0:  # repro: noqa[DET005]
-            raise ValidationError(
-                "fit_binned requires subsample=1.0 (row subsampling needs "
-                "the raw feature matrix to update the running prediction)"
-            )
-        from .base import validate_binned_targets
-
-        yv = validate_binned_targets(binned, y)
-        gen = check_random_state(self.rng)
-        return self._fit_hist(None, yv, gen, binned)
 
     def fit(self, X, y, binned=None) -> "GradientBoostingRegressor":
         """Fit the boosted ensemble; ``binned`` optionally supplies the

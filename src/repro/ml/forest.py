@@ -150,36 +150,6 @@ class RandomForestRegressor(Regressor):
             obs.observe("tree.partition_s", stats.partition_s)
             obs.observe("tree.leaf_s", stats.leaf_s)
 
-    def fit_binned(self, binned, y) -> "RandomForestRegressor":
-        """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
-
-        The X-free entry point of the ``tree_method="hist"`` path: pool
-        workers receive the shared uint8 codes plus bin bounds instead
-        of the float64 feature matrix and fit directly from them.
-        Bit-identical to ``fit(X, y, binned=binned)``.
-        """
-        if self.tree_method != "hist":
-            raise ValidationError("fit_binned requires tree_method='hist'")
-        from .base import validate_binned_targets
-
-        yv = validate_binned_targets(binned, y)
-        gen = check_random_state(self.rng)
-        seeds = np.random.SeedSequence(gen.integers(0, 2**63 - 1)).spawn(
-            self.n_estimators
-        )
-        timing = obs.enabled()
-        t_fit = time.perf_counter() if timing else 0.0
-        with obs.span(
-            "forest.fit", n_estimators=self.n_estimators, n_jobs=self.n_jobs or 0
-        ):
-            self._fit_hist(yv, seeds, binned)
-        if timing:
-            obs.counter("forest.fits")
-            obs.observe("forest.fit_s", time.perf_counter() - t_fit)
-        self.n_features_ = binned.n_features
-        self.n_outputs_ = yv.shape[1]
-        return self
-
     def fit(self, X, y, binned=None) -> "RandomForestRegressor":
         """Fit the forest; ``binned`` optionally supplies the pre-binned
         matrix of *X* for the ``tree_method="hist"`` path."""

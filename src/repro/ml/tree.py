@@ -230,10 +230,11 @@ class RegressionTree(Regressor):
         from .binning import BinMapper
         from .hist import TreeSpec, grow_trees
 
-        n, d = Xv.shape if binned is None else (binned.n_rows, binned.n_features)
-        if Xv is not None and binned is not None and (n, d) != Xv.shape:
+        n, d = Xv.shape
+        if binned is not None and (binned.n_rows, binned.n_features) != (n, d):
             raise ValidationError(
-                f"binned matrix is {(n, d)}, X is {Xv.shape}"
+                f"binned matrix is {(binned.n_rows, binned.n_features)}, "
+                f"X is {(n, d)}"
             )
         k = yv.shape[1]
         timing = obs.enabled()
@@ -271,22 +272,6 @@ class RegressionTree(Regressor):
             obs.observe("tree.leaf_s", stats.leaf_s)
             obs.observe("tree.fit_s", time.perf_counter() - t_fit)
         return self
-
-    def fit_binned(self, binned, y, sample_indices=None) -> "RegressionTree":
-        """Fit from a :class:`~repro.ml.binning.BinnedMatrix` alone.
-
-        X-free twin of :meth:`fit` for the ``tree_method="hist"`` path:
-        pool workers receive the shared uint8 codes plus bin bounds and
-        never touch the float64 feature matrix.  Bit-identical to
-        ``fit(X, y, sample_indices, binned=binned)``.
-        """
-        if self.tree_method != "hist":
-            raise ValidationError("fit_binned requires tree_method='hist'")
-        from .base import validate_binned_targets
-
-        yv = validate_binned_targets(binned, y)
-        gen = check_random_state(self.rng)
-        return self._fit_hist(None, yv, sample_indices, gen, binned)
 
     def fit(self, X, y, sample_indices=None, binned=None) -> "RegressionTree":
         """Grow the tree on (X, y).

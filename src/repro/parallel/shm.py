@@ -14,14 +14,18 @@ Design points:
 * **Publication is deduplicated by object identity.**  The store keeps a
   reference to every published array, so publishing the same matrix for
   each of nine grid cells maps it exactly once.
-* **Segments always get unlinked.**  :class:`SharedArrayStore` is a
+* **The parent owns every segment.**  :class:`SharedArrayStore` is a
   context manager; :meth:`SharedArrayStore.close` is idempotent and runs
   from ``finally`` blocks and pool shutdown, so no ``/dev/shm`` entries
-  leak even when a dispatch raises.
+  leak even when a dispatch raises.  Workers only map segments: pool
+  workers share the parent's resource tracker, so the parent's
+  ``unlink`` is the one and only unregistration.
 * **Graceful degradation.**  Sandboxes without a usable shared-memory
   mount (and builds without the module) make :func:`shm_available`
-  return ``False``; callers fall back to the pickling path.  The
-  ``REPRO_SHM=0`` environment variable forces the fallback.
+  return ``False``; :meth:`~repro.parallel.worker_pool.WorkerPool.share`
+  then hands the plain arrays back and tasks pickle them instead.  The
+  engine's fold task accepts either, so the fallback is not a separate
+  code path.
 * Worker-side attachments are cached per process (bounded LRU) so a
   persistent pool does not re-map the segment for every task.
 
@@ -31,7 +35,6 @@ metrics documented in ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -52,26 +55,13 @@ _ATTACHED: "OrderedDict[str, object]" = OrderedDict()
 _PROBE_RESULT: bool | None = None
 
 
-def _shm_disabled_by_env() -> bool:
-    return os.environ.get("REPRO_SHM", "1").strip().lower() in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
 def shm_available() -> bool:
     """Whether shared-memory segments can be created in this environment.
 
     Probes once per process by creating (and immediately unlinking) a
     tiny segment; sandboxes that forbid ``/dev/shm`` fail the probe and
-    every caller takes the pickling fallback.  ``REPRO_SHM=0`` disables
-    the plane without probing (checked on every call, so tests and
-    benchmarks can flip it at runtime).
+    every caller takes the pickling fallback.
     """
-    if _shm_disabled_by_env():
-        return False
     global _PROBE_RESULT
     if _PROBE_RESULT is None:
         try:
@@ -190,23 +180,6 @@ class SharedArrayStore:
         self.close()
 
 
-def _untrack(seg) -> None:
-    """Detach *seg* from the resource tracker (worker-side attachments).
-
-    CPython < 3.13 registers attached segments with the resource
-    tracker as if the attaching process owned them, which produces
-    spurious "leaked shared_memory" warnings (and double unlinks) at
-    worker exit.  The parent owns the lifecycle here, so attachments
-    must not be tracked.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover
-        pass
-
-
 def attach(ref: ArrayRef) -> np.ndarray:
     """Read-only NumPy view of a published array (worker side).
 
@@ -220,7 +193,6 @@ def attach(ref: ArrayRef) -> np.ndarray:
         from multiprocessing import shared_memory
 
         seg = shared_memory.SharedMemory(name=ref.segment, create=False)
-        _untrack(seg)
         _ATTACHED[ref.segment] = seg
         while len(_ATTACHED) > _ATTACH_CACHE_SIZE:
             _, old = _ATTACHED.popitem(last=False)

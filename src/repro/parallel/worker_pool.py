@@ -38,6 +38,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from .. import obs
 from .._validation import check_positive_int
 from .shm import SharedArrayStore, shm_available
@@ -140,6 +142,24 @@ class WorkerPool:
         if self._store is None:
             self._store = SharedArrayStore()
         return self._store
+
+    def share(self, arrays: Sequence[np.ndarray]) -> list:
+        """*arrays* as shared-memory descriptors, or as themselves.
+
+        The data plane's pickle fallback lives here: each array is
+        published through :attr:`shm` and comes back as an
+        :class:`~repro.parallel.shm.ArrayRef`, unless there is no store
+        or a publication fails (shm mount vanished mid-run), in which
+        case *arrays* come back unchanged and whatever task carries them
+        pickles them.  All or nothing, so a task never mixes the two.
+        """
+        store = self.shm
+        if store is not None:
+            try:
+                return [store.publish(a) for a in arrays]
+            except (OSError, ImportError):
+                pass
+        return list(arrays)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -51,6 +51,14 @@ def test_obs_contract_is_statically_cross_checked():
     assert "fold_batch" in names
 
 
+def test_docstring_allowlist_never_grows():
+    # DOC001 exempts the pinned pre-existing gaps; the pin is shrink-only
+    # (the seeded debt when the gate was introduced).
+    from repro.analysis.docstrings import ALLOWLIST
+
+    assert len(ALLOWLIST) <= 24
+
+
 def test_baseline_snapshot_is_current():
     baseline_path = ROOT / "results" / "ANALYSIS_baseline.json"
     assert baseline_path.is_file(), "regenerate: python -m repro.analysis --format json -o results/ANALYSIS_baseline.json"

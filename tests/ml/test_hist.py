@@ -5,8 +5,8 @@ most 255 distinct values — always true at the paper's grid scale) with
 targets whose split statistics are exact in float32 (small integers),
 ``tree_method="hist"`` grows the *same tree* as the exact kernel, node
 for node; and the batch entry points (joint forest growth, the boosting
-fold lockstep, the X-free ``fit_binned``) are bit-identical to their
-one-at-a-time equivalents on arbitrary real-valued targets.
+fold lockstep) are bit-identical to their one-at-a-time equivalents on
+arbitrary real-valued targets.
 """
 
 import numpy as np
@@ -122,20 +122,6 @@ class TestForestJointGrowth:
             assert np.array_equal(tree._right, g.right)
             assert np.array_equal(tree._value, g.value)
 
-    def test_fit_binned_matches_fit(self):
-        r = np.random.default_rng(9)
-        X = r.normal(size=(50, 12))
-        Y = r.normal(size=(50, 2))
-        binned = BinMapper().fit_transform(X)
-        a = RandomForestRegressor(5, rng=3, tree_method="hist").fit(X, Y)
-        b = RandomForestRegressor(5, rng=3, tree_method="hist").fit_binned(binned, Y)
-        np.testing.assert_array_equal(a.predict(X), b.predict(X))
-
-    def test_fit_binned_requires_hist(self):
-        binned = BinMapper().fit_transform(np.zeros((4, 2)))
-        with pytest.raises(ValidationError):
-            RandomForestRegressor(2).fit_binned(binned, np.zeros(4))
-
 
 class TestBoostingLockstep:
     """All-folds lockstep == per-fold solo fits on the shared binned codes."""
@@ -177,25 +163,6 @@ class TestBoostingLockstep:
                 .predict(xp[None, :])[0]
             )
             np.testing.assert_array_equal(joint, solo)
-
-    def test_fit_binned_matches_fit(self):
-        r = np.random.default_rng(2)
-        X = r.normal(size=(48, 10))
-        Y = r.normal(size=(48, 2))
-        binned = BinMapper().fit_transform(X)
-        params = dict(
-            n_estimators=6, max_depth=3, colsample_bytree=0.5, rng=5,
-            tree_method="hist",
-        )
-        a = GradientBoostingRegressor(**params).fit(X, Y, binned=binned)
-        b = GradientBoostingRegressor(**params).fit_binned(binned, Y)
-        np.testing.assert_array_equal(a.predict(X), b.predict(X))
-
-    def test_fit_binned_rejects_row_subsampling(self):
-        binned = BinMapper().fit_transform(np.zeros((6, 2)))
-        model = GradientBoostingRegressor(2, subsample=0.5, tree_method="hist")
-        with pytest.raises(ValidationError):
-            model.fit_binned(binned, np.zeros(6))
 
     def test_can_lockstep_gating(self):
         masks = [np.array([True, True, False]), np.array([False, True, True])]

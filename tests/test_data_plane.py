@@ -6,14 +6,21 @@ shared-memory segment — and neither the pool, the worker count, nor the
 dispatch plane (pickle vs shm) may change a single bit of any result.
 """
 
+import glob
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.parallel import shm
 from repro.parallel.shm import ArrayRef, SharedArrayStore, attach, shm_available
 from repro.parallel.worker_pool import WorkerPool
+
+ROOT = Path(__file__).resolve().parent.parent
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="no usable shared memory in this environment"
@@ -31,6 +38,31 @@ def die_in_worker(x):
     if multiprocessing.parent_process() is not None:
         os._exit(1)
     return x * x
+
+
+def sum_shared(ref):
+    return float(attach(ref).sum())
+
+
+#: Run in a fresh interpreter: publish two arrays through a 2-worker
+#: pool, map over their refs, survive a worker crash, map again on the
+#: recovered pool, then close.
+_LIFECYCLE_SCRIPT = """
+import multiprocessing, sys
+import numpy as np
+multiprocessing.set_start_method(sys.argv[1])
+from repro.parallel.worker_pool import WorkerPool
+from tests.test_data_plane import die_in_worker, sum_shared
+
+arrays = [np.arange(64.0), np.ones((8, 8))]
+with WorkerPool(2) as pool:
+    refs = pool.share(arrays)
+    assert all(type(r).__name__ == "ArrayRef" for r in refs)
+    assert pool.map(sum_shared, refs * 3, chunk_size=1) == [2016.0, 64.0] * 3
+    assert pool.map(die_in_worker, range(6), chunk_size=2) == [x * x for x in range(6)]
+    assert pool.map(sum_shared, refs, chunk_size=1) == [2016.0, 64.0]
+print("done")
+"""
 
 
 class TestSharedArrayStore:
@@ -84,10 +116,44 @@ class TestSharedArrayStore:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=ref.segment, create=False)
 
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+    def test_failed_probe_disables_store(self, monkeypatch):
+        monkeypatch.setattr(shm, "_PROBE_RESULT", False)
         assert shm_available() is False
-        assert WorkerPool(2).shm is None
+        with WorkerPool(2) as pool:
+            assert pool.shm is None
+            arrays = [np.zeros(4), np.ones(3)]
+            assert all(a is b for a, b in zip(pool.share(arrays), arrays))
+
+    @needs_shm
+    def test_share_falls_back_when_publish_fails(self, monkeypatch):
+        def vanished(self, array):
+            raise OSError("shm mount vanished")
+
+        monkeypatch.setattr(SharedArrayStore, "publish", vanished)
+        arrays = [np.zeros(4), np.ones(3)]
+        with WorkerPool(2) as pool:
+            assert pool.shm is not None
+            assert all(a is b for a, b in zip(pool.share(arrays), arrays))
+
+    @needs_shm
+    @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+    def test_pool_lifecycle_leaves_no_segment_or_tracker_error(self, start_method):
+        # Workers attach but never unregister: the parent's unlink is the
+        # only unregistration, so the shared resource tracker must not
+        # report a double unregister (KeyError) or a leak.
+        before = set(glob.glob("/dev/shm/psm_*"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")]
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIFECYCLE_SCRIPT, start_method],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "done"
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
     def test_closed_store_refuses_publish(self):
         store = SharedArrayStore()  # repro: noqa[CONC002] — closed-store behavior is the subject
@@ -144,7 +210,8 @@ class TestWorkerPool:
 
 
 class TestPlaneBitIdentity:
-    """KS results identical: serial vs pooled vs shm, workers 1/2/4."""
+    """KS results identical: inline vs pooled, shm vs its pickle fallback,
+    workers 1/2/4, for knn and the hist tree models."""
 
     @pytest.fixture(scope="class")
     def campaigns(self):
@@ -157,16 +224,33 @@ class TestPlaneBitIdentity:
             root_seed=13,
         )
 
-    def _ks(self, campaigns, n_workers, monkeypatch, *, shm_on):
+    @staticmethod
+    def _models():
+        from repro.ml.boosting import GradientBoostingRegressor
+        from repro.ml.forest import RandomForestRegressor
+
+        return {
+            "knn": "knn",
+            "rf-hist": RandomForestRegressor(10, rng=7, tree_method="hist"),
+            # Row subsampling keeps boosting off the lockstep batch, so
+            # its folds go through the pool.
+            "xgboost-hist-subsample": GradientBoostingRegressor(
+                10, max_depth=3, subsample=0.8, colsample_bytree=0.5, rng=7,
+                tree_method="hist",
+            ),
+        }
+
+    def _ks(self, campaigns, n_workers, monkeypatch, *, shm_on, model="knn"):
         from repro.core.evaluation import evaluate_few_runs
         from repro.core.representations import PearsonRndRepresentation
 
-        monkeypatch.setenv("REPRO_SHM", "1" if shm_on else "0")
+        # A failed probe forces the pickle fallback; None re-probes.
+        monkeypatch.setattr(shm, "_PROBE_RESULT", None if shm_on else False)
         with WorkerPool(n_workers) as pool:
             tab = evaluate_few_runs(
                 campaigns,
                 representation=PearsonRndRepresentation(),
-                model="knn",
+                model=model,
                 n_probe_runs=8,
                 n_replicas=2,
                 n_workers=n_workers,
@@ -175,17 +259,19 @@ class TestPlaneBitIdentity:
         return np.asarray(tab["ks"])
 
     def test_ks_identical_across_planes_and_workers(self, campaigns, monkeypatch):
-        baseline = self._ks(campaigns, 1, monkeypatch, shm_on=False)
-        for n_workers in (1, 2, 4):
-            for shm_on in (False, True):
-                ks = self._ks(campaigns, n_workers, monkeypatch, shm_on=shm_on)
-                assert np.array_equal(ks, baseline), (n_workers, shm_on)
+        for name, model in self._models().items():
+            baseline = self._ks(campaigns, 1, monkeypatch, shm_on=False,
+                                model=model)
+            for n_workers in (1, 2, 4):
+                for shm_on in (False, True):
+                    ks = self._ks(campaigns, n_workers, monkeypatch,
+                                  shm_on=shm_on, model=model)
+                    assert np.array_equal(ks, baseline), (name, n_workers, shm_on)
 
     @needs_shm
     def test_shm_plane_actually_engaged(self, campaigns, monkeypatch):
         from repro import obs
 
-        monkeypatch.setenv("REPRO_SHM", "1")
         obs.enable()
         try:
             self._ks(campaigns, 2, monkeypatch, shm_on=True)
