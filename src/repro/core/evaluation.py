@@ -30,7 +30,7 @@ from ..ml.knn import KNNRegressor
 from ..parallel.seeding import seed_for
 from ..simbench.suites import suite_of
 from .config import DEFAULT_EVAL_SEED, EvalConfig
-from .engine import CrossSystemDesign, FewRunsDesign, logo_fold_vectors
+from .engine import CrossSystemDesign, FewRunsDesign
 from .features import FeatureConfig
 from .representations import DistributionRepresentation
 
@@ -220,25 +220,6 @@ def score_vector_sets(
         )
         for scores in per_set
     ]
-
-
-def _logo_ks(
-    X: np.ndarray,
-    Y: np.ndarray,
-    groups: np.ndarray,
-    model: Regressor,
-    representation: DistributionRepresentation,
-    probe_features: dict[str, np.ndarray],
-    measured: dict[str, np.ndarray],
-    *,
-    seed: int,
-    n_workers: int = 1,
-) -> ColumnTable:
-    """Shared LOGO loop: refit per held-out benchmark, score KS."""
-    vectors = logo_fold_vectors(
-        X, Y, groups, probe_features, model, n_workers=n_workers
-    )
-    return score_fold_vectors(vectors, representation, measured, seed=seed)
 
 
 def evaluate_few_runs(

@@ -75,11 +75,6 @@ class BinnedMatrix:
         """Number of binned feature columns."""
         return int(self.codes.shape[1])
 
-    @property
-    def max_bins_used(self) -> int:
-        """Largest per-feature bin count (the code-axis stride)."""
-        return int(self.n_bins.max()) if self.n_bins.size else 0
-
     def scaled(self, center: np.ndarray, scale: np.ndarray) -> "BinnedMatrix":
         """Bounds re-expressed through ``x -> (x - center) / scale``.
 

@@ -137,7 +137,7 @@ class GradientBoostingRegressor(Regressor):
         re-derivation happens — bit-identical to the unfused update.
         """
         from .binning import BinMapper
-        from .hist import BoostFusion, TreeSpec, feature_code_order, grow_trees
+        from .hist import BoostFusion, GrowStats, TreeSpec, feature_code_order, grow_trees
 
         n, d = Xv.shape
         if binned is None:
@@ -156,8 +156,7 @@ class GradientBoostingRegressor(Regressor):
         n_rows = max(1, int(round(self.subsample * n)))
         n_cols = max(1, int(round(self.colsample_bytree * d)))
         timing = obs.enabled()
-        nodes = subs = rparts = 0
-        build_s = scan_s = part_s = leaf_s = 0.0
+        total = GrowStats()
         fused = n_rows >= n
         if fused:
             sorted_codes = binned.sorted_codes(grouped)
@@ -210,13 +209,7 @@ class GradientBoostingRegressor(Regressor):
                     timing=timing,
                 )
             g = grown[0]
-            nodes += stats.nodes
-            subs += stats.hist_subtractions
-            rparts += stats.rows_partitioned
-            build_s += stats.build_s
-            scan_s += stats.scan_s
-            part_s += stats.partition_s
-            leaf_s += stats.leaf_s
+            total.add(stats)
             if not fused:
                 # Regularized Newton leaves from the kernel's row
                 # routing — same sums, counts and accumulation order as
@@ -241,15 +234,7 @@ class GradientBoostingRegressor(Regressor):
             self.trees_.append(tree)
             self.tree_columns_.append(cols)
         if timing:
-            obs.counter("tree.fits", self.n_estimators)
-            obs.counter("tree.nodes", nodes)
-            obs.counter("tree.hist_nodes", nodes)
-            obs.counter("tree.hist_subtractions", subs)
-            obs.counter("tree.rows_partitioned", rparts)
-            obs.observe("tree.hist_build_s", build_s)
-            obs.observe("tree.scan_s", scan_s)
-            obs.observe("tree.partition_s", part_s)
-            obs.observe("tree.leaf_s", leaf_s)
+            total.publish(self.n_estimators)
         self.n_features_ = d
         self.n_outputs_ = k
         return self
@@ -343,7 +328,7 @@ def fit_predict_folds(model, binned, Y, folds) -> list[np.ndarray]:
     walk, matching what a per-fold fit on scaled features would produce.
     """
     from .binning import BinnedMatrix
-    from .hist import BoostFusion, TreeSpec, grow_trees, rebind_thresholds
+    from .hist import BoostFusion, GrowStats, TreeSpec, grow_trees, rebind_thresholds
 
     if not can_lockstep(model, [f[0] for f in folds]):
         raise ValidationError(
@@ -377,8 +362,7 @@ def fit_predict_folds(model, binned, Y, folds) -> list[np.ndarray]:
     specs = [TreeSpec(rows=np.arange(off[p], off[p + 1])) for p in range(P)]
     fold_trees: list[list] = [[] for _ in range(P)]
     timing = obs.enabled()
-    nodes = subs = rparts = 0
-    build_s = scan_s = part_s = leaf_s = 0.0
+    total = GrowStats()
 
     # Residual views live across rounds; the kernel's fused leaf pass
     # regularizes leaves, advances `current` and rewrites both views in
@@ -425,25 +409,11 @@ def fit_predict_folds(model, binned, Y, folds) -> list[np.ndarray]:
             boost=fusion,
             timing=timing,
         )
-        nodes += stats.nodes
-        subs += stats.hist_subtractions
-        rparts += stats.rows_partitioned
-        build_s += stats.build_s
-        scan_s += stats.scan_s
-        part_s += stats.partition_s
-        leaf_s += stats.leaf_s
+        total.add(stats)
         for p, g in enumerate(grown):
             fold_trees[p].append((g, cols))
     if timing:
-        obs.counter("tree.fits", P * model.n_estimators)
-        obs.counter("tree.nodes", nodes)
-        obs.counter("tree.hist_nodes", nodes)
-        obs.counter("tree.hist_subtractions", subs)
-        obs.counter("tree.rows_partitioned", rparts)
-        obs.observe("tree.hist_build_s", build_s)
-        obs.observe("tree.scan_s", scan_s)
-        obs.observe("tree.partition_s", part_s)
-        obs.observe("tree.leaf_s", leaf_s)
+        total.publish(P * model.n_estimators)
 
     preds = []
     for p, (_mask, center, scale, xp) in enumerate(folds):

@@ -140,15 +140,7 @@ class RandomForestRegressor(Regressor):
             trees.append(t)
         self.trees_ = trees
         if timing:
-            obs.counter("tree.fits", len(grown))
-            obs.counter("tree.nodes", stats.nodes)
-            obs.counter("tree.hist_nodes", stats.nodes)
-            obs.counter("tree.hist_subtractions", stats.hist_subtractions)
-            obs.counter("tree.rows_partitioned", stats.rows_partitioned)
-            obs.observe("tree.hist_build_s", stats.build_s)
-            obs.observe("tree.scan_s", stats.scan_s)
-            obs.observe("tree.partition_s", stats.partition_s)
-            obs.observe("tree.leaf_s", stats.leaf_s)
+            stats.publish(len(grown))
 
     def fit(self, X, y, binned=None) -> "RandomForestRegressor":
         """Fit the forest; ``binned`` optionally supplies the pre-binned

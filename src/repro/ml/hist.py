@@ -31,24 +31,14 @@ the shared uint8 codes of a :class:`~repro.ml.binning.BinnedMatrix`:
   scorer's float32 arithmetic and position-major tie-break exactly.
   Deep levels of depth-capped boosting trees are dominated by such
   nodes, which also generate no entries at all.
-* **Rectangular scan** — mid-size nodes gather their targets into a
-  ``(rank, segments, k)`` float32 rect whose *leading* axis is the
-  within-segment rank, so the prefix scan is ``m`` contiguous SIMD
+* **Rectangular scan** — every other scored node gathers its targets
+  into a ``(rank, segments, k)`` float32 rect whose *leading* axis is
+  the within-segment rank, so the prefix scan is ``m`` contiguous SIMD
   slab-adds and left/right SSE scores come from two einsums over the
   rect.  Nodes are grouped into power-of-two size classes scored
   straight out of the entry arena; ranks past a segment's real size are
   padding, masked before the argmin, so scored positions see
   bit-identical arithmetic to an exact-size scan.
-* **Dense histograms + sibling subtraction** — nodes at least
-  ``2 x`` wider than the bin axis score on a dense per-(feature, bin)
-  count/sum histogram instead (the classic GBDT regime, engaged when
-  binning actually compresses: many rows per occupied bin).  After a
-  split, only the *smaller* child's histogram is built from its rows;
-  the sibling's is derived as ``parent - child``.  Counts are exact
-  integers, so derived counts are bitwise identical to directly built
-  ones; float32 target sums differ from a direct build only by
-  association, which the kernel's existing float32 noise contract
-  already absorbs (bit-exact on integer targets).
 * **Fused boosting residuals** — when a :class:`BoostFusion` is passed,
   leaf finalization applies the regularized Newton step
   ``sum(resid) / (count + lambda)``, adds the shrunken leaf value into
@@ -70,19 +60,20 @@ the shared uint8 codes of a :class:`~repro.ml.binning.BinnedMatrix`:
   targets.
 
 Counts are exact integers throughout; only target sums are float32.
-The kernel is deterministic for a given batch composition: the scoring
-regime is a pure function of node size and bin width, the callers
-always grow a forest's trees as one joint batch and a boosting round as
-one single-tree batch, so results do not depend on worker count.
+The kernel is deterministic for a given batch composition: a node's
+scan arithmetic depends only on its own rows, and the callers always
+grow a forest's trees as one joint batch and a boosting round as one
+single-tree batch, so results do not depend on worker count.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .. import obs
 from ..errors import ValidationError
 
 __all__ = [
@@ -103,12 +94,6 @@ _KEY_STRIDE = 256
 
 #: Tie-break sentinel for the boundary argmin.
 _INT64_MAX = np.iinfo(np.int64).max
-
-#: Nodes at least this many times wider than the bin axis score on the
-#: dense per-(feature, bin) histogram plane (with sibling subtraction);
-#: below it the exact-size rank rect is faster because nearly every
-#: occupied bin holds a single row and the bin axis only adds padding.
-_HIST_MIN_WIDTH = 2
 
 #: Smallest node scored through entry segments; two-row nodes take the
 #: closed-form fast path and generate no entries.
@@ -152,22 +137,35 @@ class GrowStats:
     """Aggregate counters for one :func:`grow_trees` call.
 
     The timing buckets partition the kernel's wall time: ``build_s``
-    covers entry maintenance and rect/histogram construction,
-    ``scan_s`` the prefix scans, einsum scoring and argmin selection,
-    ``partition_s`` the arena row partition and frontier bookkeeping,
-    and ``leaf_s`` leaf finalization (including fused residual
-    updates).  ``hist_subtractions`` counts nodes whose histogram was
-    derived by sibling subtraction instead of built from rows;
+    covers entry maintenance and rect construction, ``scan_s`` the
+    prefix scans, einsum scoring and argmin selection, ``partition_s``
+    the arena row partition and frontier bookkeeping, and ``leaf_s``
+    leaf finalization (including fused residual updates).
     ``rows_partitioned`` counts arena row moves across all levels.
     """
 
     nodes: int = 0
-    hist_subtractions: int = 0
     rows_partitioned: int = 0
     build_s: float = 0.0
     scan_s: float = 0.0
     partition_s: float = 0.0
     leaf_s: float = 0.0
+
+    def add(self, other: "GrowStats") -> None:
+        """Accumulate *other* in place (a fit spanning several calls)."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def publish(self, fits: int) -> None:
+        """Record one fit of *fits* trees on the ``tree.*`` metrics."""
+        obs.counter("tree.fits", fits)
+        obs.counter("tree.nodes", self.nodes)
+        obs.counter("tree.hist_nodes", self.nodes)
+        obs.counter("tree.rows_partitioned", self.rows_partitioned)
+        obs.observe("tree.hist_build_s", self.build_s)
+        obs.observe("tree.scan_s", self.scan_s)
+        obs.observe("tree.partition_s", self.partition_s)
+        obs.observe("tree.leaf_s", self.leaf_s)
 
 
 @dataclass
@@ -377,138 +375,6 @@ def _score_rect(ent_g, ent_code, slot_off, m_slot, m_pad, F, y32,
     return ok, fpos, ent_code[e_best], ent_code[e_best + 1]
 
 
-def _score_hist(er_b, ec_b, msel, F, B, y32, min_leaf, sub_ctx, stats,
-                timing):
-    """Best split per slot from dense per-(feature, bin) histograms.
-
-    For nodes with ``m >= _HIST_MIN_WIDTH * B`` rows, the per-bin
-    count/float32-sum histogram is cheaper than the rank rect because
-    the scan axis collapses from ``m`` rows to ``B`` bins.  ``sub_ctx``
-    optionally supplies ``(ph_cnt, ph_sum, ph_idx, pid)``: retained raw
-    parent histograms plus, per selected slot, its parent-histogram
-    index and sibling-pair id.  When both children of a retained parent
-    land in this scorer, only the *smaller* one is built from its rows
-    and the sibling is derived as ``parent - child`` (exact for integer
-    counts; float32 sums differ from a direct build only by
-    association).  Returns per-slot ``(ok, fpos, bl, br)`` plus the raw
-    ``(cnt, hsum)`` histograms for retention.
-    """
-    from scipy import sparse
-
-    tic = time.perf_counter if timing else (lambda: 0.0)
-    t0 = tic()
-    n_h = msel.size
-    S_h = n_h * F
-    k = y32.shape[1]
-    E = er_b.size
-
-    direct = np.ones(n_h, dtype=bool)
-    pairs = []
-    if sub_ctx is not None:
-        ph_cnt, ph_sum, ph_idx, pid = sub_ctx
-        cand = np.flatnonzero(ph_idx >= 0)
-        if cand.size > 1:
-            o = cand[np.argsort(pid[cand], kind="stable")]
-            same = np.flatnonzero(pid[o[1:]] == pid[o[:-1]])
-            for j in same:
-                a, b = int(o[j]), int(o[j + 1])
-                # Build the smaller child, derive the larger (ties:
-                # build the first in slot order) — deterministic, so
-                # batch composition cannot change which side is exact.
-                small, big = (a, b) if msel[a] <= msel[b] else (b, a)
-                direct[big] = False
-                pairs.append((small, big))
-
-    cnt = np.zeros((n_h, F, B), dtype=np.int64)
-    hsum = np.empty((n_h, F, B, k), dtype=np.float32)
-    e_sizes = msel * F
-    e_off = np.concatenate([[0], np.cumsum(e_sizes)])
-    if direct.all():
-        er_d, ec_d, m_d = er_b, ec_b, msel
-    else:
-        dsel = np.flatnonzero(direct)
-        eidx = _ranges(e_off[dsel], e_sizes[dsel])
-        er_d, ec_d, m_d = er_b[eidx], ec_b[eidx], msel[dsel]
-    seg_d = np.repeat(
-        np.arange(m_d.size * F), np.repeat(m_d, F)
-    )
-    key = seg_d * B + ec_d
-    cnt[direct] = np.bincount(
-        key, minlength=m_d.size * F * B
-    ).reshape(m_d.size, F, B)
-    # Sum histogram via CSR matmul: rows are (segment, bin) cells in
-    # entry order, so each cell accumulates its rows code-sorted —
-    # the same sequential association as a scatter-add.
-    indptr = np.concatenate([[0], np.cumsum(cnt[direct].ravel())])
-    P = sparse.csr_matrix(
-        (np.ones(er_d.size, dtype=np.float32), er_d, indptr),
-        shape=(m_d.size * F * B, y32.shape[0]),
-    )
-    hsum[direct] = (P @ y32).reshape(m_d.size, F, B, k)
-
-    for small, big in pairs:
-        p = ph_idx[small]
-        cnt[big] = ph_cnt[p] - cnt[small]
-        hsum[big] = ph_sum[p] - hsum[small]
-    stats.hist_subtractions += len(pairs)
-    if timing:
-        t1 = time.perf_counter()
-        stats.build_s += t1 - t0
-        t0 = t1
-
-    # Prefix scans over the bin axis, slab style on a (B, S, k) copy so
-    # the raw histograms survive for retention.
-    cnt2 = cnt.reshape(S_h, B)
-    hT = np.ascontiguousarray(
-        hsum.reshape(S_h, B, k).transpose(1, 0, 2)
-    )
-    for b in range(1, B):
-        hT[b] += hT[b - 1]
-    ccnt = np.cumsum(cnt2, axis=1)
-
-    tot = hT[B - 1]
-    tt = np.einsum("sk,sk->s", tot, tot)
-    ls2 = np.einsum("bsk,bsk->bs", hT, hT)
-    dot = np.einsum("bsk,sk->bs", hT, tot)
-    rs2 = tt[None, :] - 2.0 * dot + ls2
-
-    m_seg = np.repeat(msel, F).astype(np.float32)
-    lc = ccnt.T.astype(np.float32)
-    rc = m_seg[None, :] - lc
-    valid = (cnt2.T > 0) & (ccnt.T < np.repeat(msel, F)[None, :])
-    if min_leaf > 1:
-        valid &= (lc >= min_leaf) & (rc >= min_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = -(ls2 / lc + rs2 / np.maximum(rc, 1.0))
-    score[~valid] = np.inf
-
-    # Bin-major argmin: within a feature the lowest bin is the lowest
-    # rank; across features ties resolve by (rank, feature position).
-    sc3 = score.reshape(B, n_h, F)
-    bmin = np.argmin(sc3, axis=0)
-    vmin = np.min(sc3, axis=0)
-    vbest = vmin.min(axis=1)
-    ok = np.isfinite(vbest)
-    cc3 = np.ascontiguousarray(ccnt.T).reshape(B, n_h, F)
-    ii, jj = np.meshgrid(np.arange(n_h), np.arange(F), indexing="ij")
-    rank_at = cc3[bmin, ii, jj] - 1
-    tied = vmin == vbest[:, None]
-    prio = np.where(tied, rank_at * F + np.arange(F), _INT64_MAX)
-    fpos = np.argmin(prio, axis=1)
-    bwin = bmin[np.arange(n_h), fpos]
-
-    # Right bin of the winning boundary: next occupied bin above it.
-    occ_idx = np.where(cnt2 > 0, np.arange(B), B)
-    suffix = np.minimum.accumulate(occ_idx[:, ::-1], axis=1)[:, ::-1]
-    seg_win = np.arange(n_h) * F + fpos
-    nxt = np.minimum(bwin + 1, B - 1)
-    br = suffix[seg_win, nxt]
-    br = np.minimum(br, B - 1).astype(np.uint8)
-    if timing:
-        stats.scan_s += time.perf_counter() - t0
-    return ok, fpos, bwin.astype(np.uint8), br, cnt, hsum
-
-
 def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
                min_samples_split, min_samples_leaf, feature_order=None,
                root_entries=None, boost=None, timing=False):
@@ -589,18 +455,11 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
     starts = np.concatenate([[0], np.cumsum(sizes)])
     node_tree = np.arange(T, dtype=np.int64)
     node_id = np.zeros(T, dtype=np.int64)
-    # Sibling-pair bookkeeping for histogram subtraction: which kept
-    # split created each frontier node and where its parent's retained
-    # raw histogram lives (-1: not retained).
-    parent_hist = np.full(T, -1, dtype=np.int64)
-    pair_id = np.full(T, -1, dtype=np.int64)
-    ph_cnt = ph_sum = None
     stats.nodes += T
     depth = 0
     # Smallest node that can still split; smaller frontier nodes carry
     # no entries (two-row nodes resolve closed-form, the rest leaf).
     e_min = max(_ENTRY_MIN, min_samples_split, 2 * min_samples_leaf)
-    B = int(binned.max_bins_used)
 
     # Order propagation needs per-spec code-sorted root entries; the
     # mult-mask build drops bootstrap multiplicity, so duplicated rows
@@ -677,8 +536,7 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
 
     def filter_slots(keep):
         """Drop finalized slots from the frontier (and their entries)."""
-        nonlocal rows, sizes, starts, node_tree, node_id
-        nonlocal parent_hist, pair_id, ent_g, ent_code
+        nonlocal rows, sizes, starts, node_tree, node_id, ent_g, ent_code
         if ent_g is not None and ent_g.size:
             cov = sizes >= e_min
             ek = np.repeat(keep[cov], sizes[cov] * F)
@@ -687,8 +545,6 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
         rows = rows[np.repeat(keep, sizes)]
         node_tree = node_tree[keep]
         node_id = node_id[keep]
-        parent_hist = parent_hist[keep]
-        pair_id = pair_id[keep]
         sizes = sizes[keep]
         starts = np.concatenate([[0], np.cumsum(sizes)])
 
@@ -767,8 +623,7 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
             if timing:
                 stats.scan_s += time.perf_counter() - t0
 
-        # --- scored nodes: entries, then per-regime scan -------------
-        ret_cnt = ret_sum = ret_sel = None
+        # --- scored nodes: entries, then size-class scans ------------
         if s_idx.size:
             if not propagate:
                 t0 = tic()
@@ -802,45 +657,20 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
                 if timing:
                     stats.build_s += time.perf_counter() - t0
 
+            # Power-of-two size classes: slots padded up to the class
+            # size share one rank-rect, and the scorer reads segments
+            # straight out of the entry arena — no per-exact-size
+            # gather, ~log2 as many kernel calls.
             e_off = np.concatenate([[0], np.cumsum(s_sizes * F)])
-            hist_sel = s_sizes >= _HIST_MIN_WIDTH * B
-
-            if hist_sel.any():
-                hsel = np.flatnonzero(hist_sel)
-                t0 = tic()
-                eidx = _ranges(e_off[hsel], s_sizes[hsel] * F)
-                er_b, ec_b = ent_g[eidx], ent_code[eidx]
-                if timing:
-                    stats.build_s += time.perf_counter() - t0
-                sub_ctx = None
-                if ph_cnt is not None:
-                    sl_h = s_idx[hsel]
-                    sub_ctx = (ph_cnt, ph_sum,
-                               parent_hist[sl_h], pair_id[sl_h])
-                (ok[s_idx[hsel]], fpos[s_idx[hsel]],
-                 bl[s_idx[hsel]], br[s_idx[hsel]],
-                 ret_cnt, ret_sum) = _score_hist(
-                    er_b, ec_b, s_sizes[hsel], F, B, y32,
-                    min_samples_leaf, sub_ctx, stats, timing,
+            cls = 1 << np.ceil(np.log2(s_sizes)).astype(np.int64)
+            for c in np.unique(cls):
+                bsel = np.flatnonzero(cls == c)
+                m_pad = int(s_sizes[bsel].max())
+                (ok[s_idx[bsel]], fpos[s_idx[bsel]],
+                 bl[s_idx[bsel]], br[s_idx[bsel]]) = _score_rect(
+                    ent_g, ent_code, e_off[bsel], s_sizes[bsel],
+                    m_pad, F, y32, min_samples_leaf, stats, timing,
                 )
-                ret_sel = hsel
-
-            rect_sel = np.flatnonzero(~hist_sel)
-            if rect_sel.size:
-                # Power-of-two size classes: slots padded up to the
-                # class size share one rank-rect, and the scorer reads
-                # segments straight out of the entry arena — no
-                # per-exact-size gather, ~log2 as many kernel calls.
-                m_rect = s_sizes[rect_sel]
-                cls = 1 << np.ceil(np.log2(m_rect)).astype(np.int64)
-                for c in np.unique(cls):
-                    bsel = rect_sel[cls == c]
-                    m_pad = int(s_sizes[bsel].max())
-                    (ok[s_idx[bsel]], fpos[s_idx[bsel]],
-                     bl[s_idx[bsel]], br[s_idx[bsel]]) = _score_rect(
-                        ent_g, ent_code, e_off[bsel], s_sizes[bsel],
-                        m_pad, F, y32, min_samples_leaf, stats, timing,
-                    )
 
         if not np.all(ok):
             finalize(~ok)
@@ -890,8 +720,8 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
         stats.rows_partitioned += int(new_rows.size)
 
         # --- propagate entries to the next frontier ------------------
-        next_depth_ok = max_depth is None or depth + 1 < max_depth
         if propagate:
+            next_depth_ok = max_depth is None or depth + 1 < max_depth
             need = next_depth_ok & (new_sizes >= e_min)
             new_ent_g = np.empty(0, dtype=np.int32)
             new_ent_c = np.empty(0, dtype=np.uint8)
@@ -970,24 +800,7 @@ def grow_trees(binned, y32, y64, specs, *, n_cand, max_depth,
             # stale layout survive into the next level's slot filter.
             ent_g = ent_code = None
 
-        # --- retain raw histograms for sibling subtraction -----------
-        ph_cnt = ph_sum = None
-        hist_ref_kept = None
-        if propagate and ret_sel is not None and next_depth_ok:
-            okh = ok[s_idx[ret_sel]]
-            if okh.any():
-                ph_cnt = ret_cnt[okh]
-                ph_sum = ret_sum[okh]
-                hist_ref_kept = np.full(Lk, -1, dtype=np.int64)
-                hist_ref_kept[slot_rank[s_idx[ret_sel][okh]]] = \
-                    np.arange(int(okh.sum()))
-
         # --- advance to the children frontier ------------------------
-        if hist_ref_kept is None:
-            parent_hist = np.full(2 * Lk, -1, dtype=np.int64)
-        else:
-            parent_hist = np.repeat(hist_ref_kept, 2)
-        pair_id = np.repeat(np.arange(Lk, dtype=np.int64), 2)
         rows = new_rows
         sizes = new_sizes.astype(np.int64)
         starts = np.concatenate([[0], np.cumsum(sizes)])

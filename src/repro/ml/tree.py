@@ -261,15 +261,7 @@ class RegressionTree(Regressor):
         )
         self._adopt_grown(trees[0], d, k)
         if timing:
-            obs.counter("tree.fits")
-            obs.counter("tree.nodes", stats.nodes)
-            obs.counter("tree.hist_nodes", stats.nodes)
-            obs.counter("tree.hist_subtractions", stats.hist_subtractions)
-            obs.counter("tree.rows_partitioned", stats.rows_partitioned)
-            obs.observe("tree.hist_build_s", stats.build_s)
-            obs.observe("tree.scan_s", stats.scan_s)
-            obs.observe("tree.partition_s", stats.partition_s)
-            obs.observe("tree.leaf_s", stats.leaf_s)
+            stats.publish(1)
             obs.observe("tree.fit_s", time.perf_counter() - t_fit)
         return self
 

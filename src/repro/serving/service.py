@@ -44,6 +44,7 @@ in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -143,6 +144,11 @@ class _Request:
 
 
 _SHUTDOWN = object()
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer (``bool`` is an ``int`` subclass, not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class PredictionService:
@@ -340,13 +346,19 @@ class PredictionService:
             probe = SampleProbe(decode_campaign(payload.get("campaign")))
         n_samples = payload.get("n_samples", 0)
         sample_seed = payload.get("sample_seed", 0)
-        if not isinstance(n_samples, int) or n_samples < 0:
+        if not _is_int(n_samples) or n_samples < 0:
             raise ValidationError("n_samples must be a non-negative integer")
-        if not isinstance(sample_seed, int):
+        if not _is_int(sample_seed):
             raise ValidationError("sample_seed must be an integer")
         deadline_s = payload.get("deadline_s", self.config.default_deadline_s)
-        if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
-            raise ValidationError("deadline_s must be a positive number")
+        # json.loads accepts NaN and Infinity; a NaN deadline never
+        # expires, so the request would hold a queue slot forever.
+        if (
+            isinstance(deadline_s, bool)
+            or not isinstance(deadline_s, (int, float))
+            or not 0 < deadline_s < math.inf
+        ):
+            raise ValidationError("deadline_s must be a positive finite number")
         fingerprint = probe_fingerprint(
             model_key, probe, n_samples=n_samples, sample_seed=sample_seed
         )

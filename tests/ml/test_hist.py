@@ -54,19 +54,28 @@ class TestLosslessParity:
     """hist == exact, tree for tree, when binning loses nothing."""
 
     @pytest.mark.parametrize(
-        "n,d,k,max_depth,min_leaf,seed",
+        "n,d,k,max_depth,min_leaf,seed,levels",
         [
-            (60, 30, 4, 6, 1, 0),
-            (60, 30, 4, 6, 1, 1),
-            (200, 12, 2, None, 2, 100),
-            (200, 12, 2, None, 2, 101),
-            (64, 136, 32, 6, 1, 200),
-            (64, 136, 32, 6, 1, 201),
+            pytest.param(60, 30, 4, 6, 1, 0, None, id="60-30-4-6-1-0"),
+            pytest.param(60, 30, 4, 6, 1, 1, None, id="60-30-4-6-1-1"),
+            pytest.param(200, 12, 2, None, 2, 100, None, id="200-12-2-None-2-100"),
+            pytest.param(200, 12, 2, None, 2, 101, None, id="200-12-2-None-2-101"),
+            pytest.param(64, 136, 32, 6, 1, 200, None, id="64-136-32-6-1-200"),
+            pytest.param(64, 136, 32, 6, 1, 201, None, id="64-136-32-6-1-201"),
+            # Coarse features (8 distinct values => 8 bins) keep nodes
+            # many times wider than the bin axis, so the rank rect scans
+            # long runs of equal codes with few boundaries.
+            pytest.param(400, 6, 3, 6, 1, 7, 8, id="coarse8-400-6-3-6-1-7"),
         ],
     )
-    def test_single_tree_matches_exact(self, n, d, k, max_depth, min_leaf, seed):
+    def test_single_tree_matches_exact(
+        self, n, d, k, max_depth, min_leaf, seed, levels
+    ):
         r = np.random.default_rng(seed)
-        X = r.normal(size=(n, d))
+        if levels is None:
+            X = r.normal(size=(n, d))
+        else:
+            X = r.integers(0, levels, size=(n, d)).astype(np.float64)
         Y = _integer_targets(r, n, k, X)
         exact = RegressionTree(max_depth=max_depth, min_samples_leaf=min_leaf).fit(
             X, Y
@@ -175,125 +184,6 @@ class TestBoostingLockstep:
         uneven = [np.array([True, True, False]), np.array([False, False, True])]
         assert not can_lockstep(hist, uneven)
         assert not can_lockstep(RandomForestRegressor(2, tree_method="hist"), masks)
-
-
-def _node_entries(codes, rows):
-    """Entry arrays of one node: feature-major, stably code-sorted."""
-    segs_r, segs_c = [], []
-    for f in range(codes.shape[1]):
-        col = codes[rows, f]
-        o = np.argsort(col, kind="stable")
-        segs_r.append(rows[o].astype(np.int32))
-        segs_c.append(col[o])
-    return np.concatenate(segs_r), np.concatenate(segs_c)
-
-
-class TestHistogramSubtraction:
-    """parent - child reproduces the sibling's directly built histogram."""
-
-    @staticmethod
-    def _histograms(codes, y32, rows_list, B, sub_ctx=None):
-        from repro.ml.hist import GrowStats, _score_hist
-
-        er = np.concatenate(
-            [_node_entries(codes, rows)[0] for rows in rows_list]
-        )
-        ec = np.concatenate(
-            [_node_entries(codes, rows)[1] for rows in rows_list]
-        )
-        msel = np.array([len(rows) for rows in rows_list], dtype=np.int64)
-        stats = GrowStats()
-        out = _score_hist(
-            er, ec, msel, codes.shape[1], B, y32, 1, sub_ctx, stats, False
-        )
-        return out[4], out[5], stats
-
-    @pytest.mark.parametrize(
-        "n,d,B,k,seed",
-        [(80, 5, 6, 3, 0), (123, 7, 9, 4, 1), (57, 3, 4, 1, 2),
-         (240, 6, 16, 8, 3)],
-    )
-    def test_derived_sibling_matches_direct_build(self, n, d, B, k, seed):
-        r = np.random.default_rng(seed)
-        codes = r.integers(0, B, size=(n, d)).astype(np.uint8)
-        y32 = r.normal(size=(n, k)).astype(np.float32)
-        rows = np.arange(n)
-        go_right = codes[:, 0] > (B - 1) // 2
-        small, big = rows[~go_right], rows[go_right]
-        if small.size > big.size:
-            small, big = big, small
-        assert small.size and big.size, "fixture must split both ways"
-
-        ph_cnt, ph_sum, _ = self._histograms(codes, y32, [rows], B)
-        cnt_d, sum_d, st_d = self._histograms(codes, y32, [big], B)
-        assert st_d.hist_subtractions == 0
-        sub_ctx = (ph_cnt, ph_sum, np.array([0, 0]), np.array([3, 3]))
-        cnt_s, sum_s, st_s = self._histograms(
-            codes, y32, [small, big], B, sub_ctx=sub_ctx
-        )
-        assert st_s.hist_subtractions == 1
-
-        # Counts are integers: subtraction must be bitwise exact.
-        np.testing.assert_array_equal(cnt_s[1], cnt_d[0])
-        # float32 sums may differ from a direct build only by
-        # association noise, bounded per cell by the parent magnitude.
-        abs_cell = np.zeros((d, B, k))
-        for f in range(d):
-            for j in range(k):
-                abs_cell[f, :, j] = np.bincount(
-                    codes[:, f], weights=np.abs(y32[:, j]), minlength=B
-                )
-        tol = 16 * np.finfo(np.float32).eps * (abs_cell + 1.0)
-        assert np.all(np.abs(sum_s[1] - sum_d[0]) <= tol)
-
-    def test_integer_targets_subtract_bitwise(self):
-        r = np.random.default_rng(9)
-        n, d, B, k = 150, 4, 8, 3
-        codes = r.integers(0, B, size=(n, d)).astype(np.uint8)
-        y32 = r.integers(-5, 6, size=(n, k)).astype(np.float32)
-        rows = np.arange(n)
-        go_right = codes[:, 1] > B // 2
-        small, big = rows[~go_right], rows[go_right]
-        if small.size > big.size:
-            small, big = big, small
-
-        ph_cnt, ph_sum, _ = self._histograms(codes, y32, [rows], B)
-        cnt_d, sum_d, _ = self._histograms(codes, y32, [big], B)
-        sub_ctx = (ph_cnt, ph_sum, np.array([0, 0]), np.array([1, 1]))
-        cnt_s, sum_s, _ = self._histograms(
-            codes, y32, [small, big], B, sub_ctx=sub_ctx
-        )
-        np.testing.assert_array_equal(cnt_s[1], cnt_d[0])
-        # Small-integer sums are exact in float32, so even the float
-        # plane is bitwise under subtraction.
-        np.testing.assert_array_equal(sum_s[1], sum_d[0])
-
-    def test_subtraction_regime_matches_exact_kernel(self):
-        # Coarse features (8 distinct values => B=8) keep nodes much
-        # wider than the bin axis, so the dense-histogram regime and
-        # sibling subtraction both engage — and the grown tree must
-        # still match the exact kernel node for node.
-        r = np.random.default_rng(7)
-        n, d, k = 400, 6, 3
-        X = r.integers(0, 8, size=(n, d)).astype(np.float64)
-        Y = _integer_targets(r, n, k, X)
-        exact = RegressionTree(max_depth=6).fit(X, Y)
-        hist = RegressionTree(max_depth=6, tree_method="hist").fit(X, Y)
-        assert_trees_equal(exact, hist)
-
-        binned = BinMapper().fit_transform(X)
-        _, stats = grow_trees(
-            binned,
-            Y.astype(np.float32),
-            Y,
-            [TreeSpec(rows=np.arange(n))],
-            n_cand=d,
-            max_depth=6,
-            min_samples_split=2,
-            min_samples_leaf=1,
-        )
-        assert stats.hist_subtractions > 0
-        assert stats.rows_partitioned > 0
 
 
 class TestFusedResiduals:

@@ -233,6 +233,35 @@ class TestProtocolEdges:
                 )
         assert reply["status"] == 400
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("deadline_s", float("nan")),
+            ("deadline_s", float("inf")),
+            ("deadline_s", True),
+            ("n_samples", True),
+            ("sample_seed", False),
+        ],
+    )
+    def test_non_finite_or_boolean_field_is_400(
+        self, registry, intel_small, field, value
+    ):
+        """NaN/Infinity survive the server's json.loads; a NaN deadline
+        would never expire, and booleans are not numbers on the wire."""
+        probe = intel_small["npb/cg"].subset(range(6))
+        body = json.loads(json.dumps(_predict_payload(probe, **{field: value})))
+
+        async def scenario():
+            service = PredictionService(registry, ServingConfig(cache_enabled=False))
+            try:
+                return await asyncio.wait_for(service.submit(body), 30)
+            finally:
+                await service.close()
+
+        reply = asyncio.run(scenario())
+        assert reply["status"] == 400, reply
+        assert field in reply["error"]
+
     def test_unknown_op_is_400(self, registry):
         with ServerHandle(registry) as server:
             with ServingClient("127.0.0.1", server.port) as client:
