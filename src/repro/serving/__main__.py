@@ -112,8 +112,9 @@ def main(argv=None) -> int:
     serve_p.add_argument("--representation", default="pearsonrnd")
     serve_p.add_argument("--n-runs", type=int, default=300)
     serve_p.add_argument("--port", type=int, default=0)
-    serve_p.add_argument("--plane", choices=("thread", "pool"), default="thread")
-    serve_p.add_argument("--n-workers", type=int, default=1)
+    # Deprecated no-ops, kept so existing command lines still parse.
+    serve_p.add_argument("--plane", choices=("thread", "pool"), help=argparse.SUPPRESS)
+    serve_p.add_argument("--n-workers", type=int, help=argparse.SUPPRESS)
     serve_p.set_defaults(func=_cmd_serve)
 
     fleet_p = sub.add_parser(

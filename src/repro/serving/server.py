@@ -159,7 +159,8 @@ async def serve(
     :class:`~repro.serving.fleet.admission.KingmanAdmission`), an
     *inflight* set to observe pending answer tasks during drain, and
     *extra_ops* (``op -> async handler(service, payload)``) to extend
-    the protocol (shards add ``health``/``drain``).
+    the protocol (shards add ``health``/``drain``).  *pool* is deprecated
+    and ignored (see :class:`PredictionService`).
     """
     service = PredictionService(registry, config, pool=pool, admission=admission)
     await service.start()
@@ -236,7 +237,10 @@ class ServerHandle:
         port: int = 0,
         pool=None,
     ) -> None:
-        """Start the loop thread and block until the socket is bound."""
+        """Start the loop thread and block until the socket is bound.
+
+        *pool* is deprecated and ignored (see :class:`PredictionService`).
+        """
         self.host = host
         self._ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None

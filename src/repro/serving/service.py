@@ -3,10 +3,12 @@
 :class:`PredictionService` turns many concurrent ``predict`` requests
 into few batched evaluations without changing a single output bit:
 
-* **Micro-batching** — the batch loop takes the first queued request,
-  then coalesces whatever else arrives within ``batch_window_s`` (up to
-  ``max_batch``); a batch is grouped by model and executed off the
-  event loop.  Each request inside a batch still runs the *exact*
+* **Micro-batching** — load-triggered coalescing: the batch loop waits
+  only for the first request, then takes whatever else is already
+  queued (up to ``max_batch``) — under load, the requests that arrived
+  while the previous batch ran; when idle, a lone request runs at once.
+  A batch is grouped by model and executed off the event loop on one
+  worker thread.  Each request inside a batch still runs the *exact*
   per-request ``predictor.predict_vector`` call a direct caller would
   run — batching amortizes model hydration and scheduling, never the
   math — so served predictions are bit-identical to library calls.
@@ -30,12 +32,8 @@ into few batched evaluations without changing a single output bit:
   ``default_deadline_s``); a request that cannot be answered in time
   resolves to a 504-style response and its slot is reclaimed.
 
-Two execution planes are supported: ``"thread"`` (a dedicated worker
-thread in this process — the default, zero extra processes) and
-``"pool"`` (dispatch onto a persistent
-:class:`~repro.parallel.worker_pool.WorkerPool`, where each worker
-hydrates models from the shared artifact store).  Both planes run the
-same per-request code path.
+Multi-process serving is :mod:`repro.serving.fleet`: N processes, each
+running this service.
 
 Metrics (``serving.*``) and the ``serving.batch`` span are documented
 in ``docs/OBSERVABILITY.md``.
@@ -53,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
+from .._deprecation import warn_deprecated
 from ..errors import ArtifactError, ValidationError
 from .protocol import (
     decode_campaign,
@@ -66,7 +65,13 @@ from .registry import ModelRegistry
 
 __all__ = ["ServingConfig", "PredictionService"]
 
-_PLANES = ("thread", "pool")
+#: Deprecated no-op knobs (removal at 3.0) and what replaces each one.
+_FLEET = "repro.serving.fleet (FleetHandle) for multi-process serving"
+_DEPRECATED_FIELDS = {
+    "batch_window_s": "ServingConfig.max_batch (a batch is whatever is already queued)",
+    "plane": _FLEET,
+    "n_workers": _FLEET,
+}
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,6 @@ class ServingConfig:
     ----------
     max_batch:
         Largest number of requests coalesced into one batch.
-    batch_window_s:
-        How long the batch loop waits for followers after the first
-        request of a batch arrives.
     queue_limit:
         Admission bound: maximum requests in flight before new arrivals
         are rejected with status 429.  Always enforced — with an
@@ -92,27 +94,27 @@ class ServingConfig:
         Whether fingerprint-identical requests may be served from cache.
     default_deadline_s:
         Deadline applied when a request does not carry its own.
-    plane:
-        ``"thread"`` (in-process worker thread) or ``"pool"``
-        (dispatch onto a :class:`~repro.parallel.worker_pool.WorkerPool`).
-    n_workers:
-        Worker count for the pool plane (ignored by the thread plane).
+    batch_window_s, plane, n_workers:
+        Deprecated, no effect: batches coalesce on load, with no linger,
+        and run on one in-process worker thread.  Setting any of them
+        emits one :class:`DeprecationWarning`; an out-of-range value
+        still raises :class:`~repro.errors.ValidationError`.
     """
 
     max_batch: int = 32
-    batch_window_s: float = 0.002
+    batch_window_s: float | None = None
     queue_limit: int = 128
     cache_size: int = 256
     cache_enabled: bool = True
     default_deadline_s: float = 5.0
-    plane: str = "thread"
-    n_workers: int = 1
+    plane: str | None = None
+    n_workers: int | None = None
 
     def __post_init__(self) -> None:
         """Validate ranges; raises :class:`~repro.errors.ValidationError`."""
         if self.max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
-        if self.batch_window_s < 0.0:
+        if self.batch_window_s is not None and self.batch_window_s < 0.0:
             raise ValidationError("batch_window_s must be >= 0")
         if self.queue_limit < 1:
             raise ValidationError("queue_limit must be >= 1")
@@ -120,10 +122,16 @@ class ServingConfig:
             raise ValidationError("cache_size must be >= 1")
         if self.default_deadline_s <= 0.0:
             raise ValidationError("default_deadline_s must be > 0")
-        if self.plane not in _PLANES:
-            raise ValidationError(f"plane must be one of {_PLANES}, got {self.plane!r}")
-        if self.n_workers < 1:
+        if self.plane not in (None, "thread", "pool"):
+            raise ValidationError(
+                f"plane must be one of ('thread', 'pool'), got {self.plane!r}"
+            )
+        if self.n_workers is not None and self.n_workers < 1:
             raise ValidationError("n_workers must be >= 1")
+        for name, replacement in _DEPRECATED_FIELDS.items():
+            if getattr(self, name) is not None:
+                # stacklevel 4 skips this method and the generated __init__.
+                warn_deprecated(f"ServingConfig({name}=...)", replacement, stacklevel=4)
 
 
 @dataclass
@@ -164,8 +172,7 @@ class PredictionService:
     ) -> None:
         """Create a service over *registry*; ``await start()`` before use.
 
-        A pre-built :class:`~repro.parallel.worker_pool.WorkerPool` may
-        be passed for the pool plane; otherwise one is created lazily.
+        *pool* is deprecated and ignored (it is neither used nor closed).
         An *admission* gate (duck-typed to
         :class:`~repro.serving.fleet.admission.KingmanAdmission`)
         supersedes the fixed ``queue_limit`` policy: its ``admit()``
@@ -176,7 +183,8 @@ class PredictionService:
         self.registry = registry
         self.config = config or ServingConfig()
         self.admission = admission
-        self._pool = pool
+        if pool is not None:
+            warn_deprecated("PredictionService(pool=...)", _FLEET)
         self._cache: OrderedDict[str, dict] = OrderedDict()
         self._queue: asyncio.Queue | None = None
         self._batch_task: asyncio.Task | None = None
@@ -204,10 +212,6 @@ class PredictionService:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serving"
         )
-        if self.config.plane == "pool" and self._pool is None:
-            from ..parallel.worker_pool import WorkerPool
-
-            self._pool = WorkerPool(self.config.n_workers)
         self._batch_task = asyncio.get_running_loop().create_task(self._batch_loop())
 
     async def close(self) -> None:
@@ -369,23 +373,20 @@ class PredictionService:
         )
 
     async def _batch_loop(self) -> None:
-        """Coalesce queued requests into batches and execute them."""
-        loop = asyncio.get_running_loop()
+        """Execute each request with whatever else is already queued.
+
+        The only wait is for a batch's first request; its followers are
+        taken without waiting, so an idle service runs a lone request at
+        once and a loaded one batches what queued during the last batch.
+        """
         while True:
             first = await self._queue.get()
             if first is _SHUTDOWN:
                 return
             batch = [first]
-            horizon = loop.time() + self.config.batch_window_s
             stop = False
-            while len(batch) < self.config.max_batch:
-                remaining = horizon - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.config.max_batch and not self._queue.empty():
+                item = self._queue.get_nowait()
                 if item is _SHUTDOWN:
                     stop = True
                     break
@@ -408,12 +409,7 @@ class PredictionService:
         loop = asyncio.get_running_loop()
         for model_key, requests in groups.items():
             t0 = loop.time()
-            with obs.span(
-                "serving.batch",
-                model=model_key,
-                n_requests=len(requests),
-                plane=self.config.plane,
-            ):
+            with obs.span("serving.batch", model=model_key, n_requests=len(requests)):
                 try:
                     responses = await loop.run_in_executor(
                         self._executor, self._compute_group, model_key, requests
@@ -421,8 +417,10 @@ class PredictionService:
                 except Exception as exc:  # noqa: BLE001 — batch loop must survive
                     self._stats["errors"] += 1
                     obs.counter("serving.errors")
-                    kind = type(exc).__name__
-                    responses = [error(500, f"{kind}: {exc}")] * len(requests)
+                    # One dict per request: the server writes each
+                    # request's own ``id`` into its response.
+                    message = f"{type(exc).__name__}: {exc}"
+                    responses = [error(500, message) for _ in requests]
             if self.admission is not None:
                 # Per-request service effort: the group's executor wall
                 # time amortized across its requests (batching shares
@@ -443,19 +441,9 @@ class PredictionService:
         bit-identical regardless of how requests were batched.
         """
         predictor = self.registry.load(model_key)
-        if self.config.plane == "pool":
-            encoded = self._pool.map(
-                _pool_predict_task,
-                [
-                    (str(self.registry.root), model_key, _encode_for_pool(r.probe))
-                    for r in requests
-                ],
-            )
-            vectors = [_decode_pool_vector(text) for text in encoded]
-        else:
-            vectors = [predictor.predict_vector(r.probe) for r in requests]
         responses = []
-        for request, vector in zip(requests, vectors):
+        for request in requests:
+            vector = predictor.predict_vector(request.probe)
             body = ok(
                 model_key=model_key,
                 representation=type(predictor.representation).__name__,
@@ -470,24 +458,3 @@ class PredictionService:
                 body["samples"] = encode_array(draws)
             responses.append(body)
         return responses
-
-
-def _encode_for_pool(probe) -> dict:
-    """Probe wire form for pool dispatch (module-level for clarity)."""
-    from .protocol import encode_probe
-
-    return encode_probe(probe)
-
-
-def _decode_pool_vector(text: str) -> np.ndarray:
-    """Decode a base64 vector returned by the pool task."""
-    from .protocol import decode_array
-
-    return decode_array(text)
-
-
-def _pool_predict_task(item):
-    """Module-level alias so pool dispatch stays picklable (CONC001)."""
-    from ._workers import predict_task
-
-    return predict_task(item)

@@ -16,7 +16,6 @@ import pytest
 from repro.core.sketch import SampleProbe, SketchProbe
 from repro.errors import ValidationError
 from repro.serving import ModelRegistry, ServerHandle, ServingClient
-from repro.serving._workers import predict_task
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     decode_array,
@@ -186,19 +185,3 @@ class TestServerCompat:
         # Same request, same seed: draws are deterministic.
         assert np.array_equal(draws, decode_array(r2["samples"]))
 
-
-class TestPoolPlane:
-    def test_predict_task_decodes_probe_payloads(
-        self, registry, few_runs_predictor, probe_campaign, sketch_probe
-    ):
-        key = registry.resolve("uc1")
-        root = str(registry.root)
-        out = decode_array(predict_task((root, key, encode_probe(sketch_probe))))
-        assert np.array_equal(out, few_runs_predictor.predict_vector(sketch_probe))
-        # Pre-v2 dispatchers ship bare encoded campaigns.
-        legacy = decode_array(
-            predict_task((root, key, encode_campaign(probe_campaign)))
-        )
-        assert np.array_equal(
-            legacy, few_runs_predictor.predict_vector(probe_campaign)
-        )

@@ -1,10 +1,10 @@
 """Integration tests for the micro-batching service and TCP server.
 
 The contract under test: serving never changes an output bit.
-Concurrent clients, batched execution, the response cache, and the pool
-plane must all return exactly what a direct ``predict_vector`` call
-returns; capacity problems surface as 429/504 responses, never as
-wrong answers.
+Concurrent clients, batched execution, the response cache, and every
+deprecated configuration spelling must all return exactly what a direct
+``predict_vector`` call returns; capacity problems surface as 429/504
+responses, never as wrong answers.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import json
 import socket
 import threading
 import time
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from repro.serving import (
     ServingConfig,
 )
 from repro.serving.protocol import decode_array, encode_campaign
+
+from repro.serving import __main__ as cli
 
 from .conftest import ROSTER
 
@@ -43,6 +47,30 @@ def _predict_payload(campaign, **extra) -> dict:
     payload = {"op": "predict", "model": "uc1", "campaign": encode_campaign(campaign)}
     payload.update(extra)
     return payload
+
+
+def _submit_all(registry, config, payloads, *, then=()):
+    """Submit *payloads* at once on a started service, then *then* one by one.
+
+    Returns every reply (in submission order) and the final stats.
+    """
+
+    async def scenario():
+        service = PredictionService(registry, config)
+        await service.start()
+        try:
+            replies = list(await asyncio.gather(*(service.submit(p) for p in payloads)))
+            for payload in then:
+                replies.append(await service.submit(payload))
+            return replies, service.stats()
+        finally:
+            await service.close()
+
+    return asyncio.run(scenario())
+
+
+def _deprecations(caught) -> list[str]:
+    return [str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 class TestServingConfig:
@@ -99,27 +127,6 @@ class TestServedBitIdentity:
         for (bench, _), vector in sorted(results.items()):
             assert np.array_equal(vector, expected[bench]), bench
 
-    def test_batches_actually_coalesce(self, registry, intel_small):
-        """Concurrent load must produce at least one multi-request batch."""
-        probes = [intel_small[b].subset(range(6)) for b in ROSTER]
-        config = ServingConfig(cache_enabled=False, batch_window_s=0.05)
-        with ServerHandle(registry, config) as server:
-
-            def fire(probe):
-                with ServingClient("127.0.0.1", server.port) as client:
-                    assert client.request(_predict_payload(probe))["status"] == 200
-
-            threads = [
-                threading.Thread(target=fire, args=(p,)) for p in probes * 4
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            stats = server.service.stats()
-        assert stats["batched_requests"] == len(probes) * 4
-        assert any(int(k) > 1 for k in stats["batch_size_histogram"])
-
     def test_cache_hits_never_change_outputs(self, registry, intel_small):
         probe = intel_small["npb/cg"].subset(range(6))
         with ServerHandle(registry, ServingConfig(cache_enabled=True)) as server:
@@ -142,16 +149,128 @@ class TestServedBitIdentity:
                     replies[flag] = client.request(_predict_payload(probe))
         assert replies[True]["vector"] == replies[False]["vector"]
 
-    def test_pool_plane_matches_thread_plane(self, registry, intel_small):
+
+class TestLoadTriggeredBatching:
+    """A batch is whatever is queued when the loop looks; nothing lingers."""
+
+    @pytest.fixture()
+    def probes(self, intel_small):
+        return [intel_small[b].subset(range(6)) for b in ROSTER] * 2
+
+    def _assert_direct(self, replies, probes, predictor):
+        assert len(replies) == len(probes)
+        for reply, probe in zip(replies, probes):
+            assert reply["status"] == 200, reply
+            assert np.array_equal(
+                np.asarray(reply["vector"], dtype=np.float64),
+                predictor.predict_vector(probe),
+            )
+
+    def test_concurrent_submits_form_one_batch(self, registry, few_runs_predictor, probes):
+        config = ServingConfig(cache_enabled=False)
+        replies, stats = _submit_all(registry, config, [_predict_payload(p) for p in probes])
+        assert stats["batch_size_histogram"] == {str(len(probes)): 1}
+        self._assert_direct(replies, probes, few_runs_predictor)
+
+    def test_batches_are_capped_at_max_batch(self, registry, few_runs_predictor, probes):
+        config = ServingConfig(cache_enabled=False, max_batch=3)
+        replies, stats = _submit_all(registry, config, [_predict_payload(p) for p in probes])
+        assert len(probes) == 8
+        assert stats["batch_size_histogram"] == {"2": 1, "3": 2}
+        self._assert_direct(replies, probes, few_runs_predictor)
+
+    def test_lone_request_after_idle_is_a_batch_of_one(
+        self, registry, few_runs_predictor, probes
+    ):
+        config = ServingConfig(cache_enabled=False)
+        payloads = [_predict_payload(p) for p in probes]
+        replies, stats = _submit_all(registry, config, payloads[:4], then=payloads[4:5])
+        assert stats["batch_size_histogram"] == {"1": 1, "4": 1}
+        self._assert_direct(replies, probes[:5], few_runs_predictor)
+
+
+class _UnusablePool:
+    """A stand-in pool that fails the test if the service touches it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"deprecated pool was used: .{name}")
+
+
+class TestDeprecatedOptions:
+    """Each removed knob still parses, warns once, and changes no bit."""
+
+    def _vectors(self, registry, probe, **kwargs):
+        with ServerHandle(registry, **kwargs) as server:
+            with ServingClient("127.0.0.1", server.port) as client:
+                replies = [client.request(_predict_payload(probe, n_samples=16))
+                           for _ in range(2)]
+        assert [r["status"] for r in replies] == [200, 200], replies
+        return [(r["vector"], r["samples"]) for r in replies]
+
+    @pytest.mark.parametrize(
+        "kwargs,replacement",
+        [
+            (dict(batch_window_s=0.002), "ServingConfig.max_batch"),
+            (dict(plane="pool"), "repro.serving.fleet"),
+            (dict(n_workers=2), "repro.serving.fleet"),
+        ],
+    )
+    def test_config_field_warns_once_and_serves_identically(
+        self, registry, intel_small, kwargs, replacement
+    ):
         probe = intel_small["npb/bt"].subset(range(6))
-        replies = {}
-        for plane in ("thread", "pool"):
-            config = ServingConfig(plane=plane, n_workers=2, cache_enabled=False)
-            with ServerHandle(registry, config) as server:
-                with ServingClient("127.0.0.1", server.port) as client:
-                    replies[plane] = client.request(_predict_payload(probe))
-        assert replies["thread"]["status"] == replies["pool"]["status"] == 200
-        assert replies["thread"]["vector"] == replies["pool"]["vector"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = ServingConfig(cache_enabled=False, **kwargs)
+        messages = _deprecations(caught)
+        assert len(messages) == 1, messages
+        assert f"ServingConfig({next(iter(kwargs))}=...)" in messages[0]
+        assert replacement in messages[0]
+        default = self._vectors(registry, probe, config=ServingConfig(cache_enabled=False))
+        assert self._vectors(registry, probe, config=config) == default
+
+    def test_pool_keyword_warns_once_and_is_never_used(self, registry, intel_small):
+        probe = intel_small["npb/bt"].subset(range(6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            served = self._vectors(registry, probe, pool=_UnusablePool())
+        messages = _deprecations(caught)
+        assert len(messages) == 1, messages
+        assert "PredictionService(pool=...)" in messages[0]
+        assert "repro.serving.fleet" in messages[0]
+        assert served == self._vectors(registry, probe)
+
+    def test_default_server_emits_no_deprecation(self, registry, intel_small):
+        probe = intel_small["npb/bt"].subset(range(6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._vectors(registry, probe)
+        assert _deprecations(caught) == []
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            ([], []),
+            (["--plane", "pool"], ["ServingConfig(plane=...)"]),
+            (["--n-workers", "2"], ["ServingConfig(n_workers=...)"]),
+        ],
+    )
+    def test_cli_serve_flags(self, registry, monkeypatch, flags, expected):
+        """The CLI's default path is warning-free; each deprecated flag warns once."""
+
+        class _Interrupt:
+            def wait(self):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_fit_or_reuse", lambda args: registry)
+        monkeypatch.setattr(cli, "threading", SimpleNamespace(Event=_Interrupt))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["serve", *flags]) == 0
+        messages = _deprecations(caught)
+        assert len(messages) == len(expected), messages
+        for message, old in zip(messages, expected):
+            assert old in message
 
 
 class TestAdmissionAndDeadlines:
@@ -276,6 +395,30 @@ class TestProtocolEdges:
                 f.flush()
                 reply = json.loads(f.readline())
         assert reply["status"] == 400
+
+    def test_failed_batch_answers_each_request_with_its_own_id(
+        self, registry, intel_small, monkeypatch
+    ):
+        """A failed group must not share one response dict across requests.
+
+        Two pipelined predicts land in one batch; the model load fails,
+        and each 500 must carry only its own request's ``id``.
+        """
+
+        def broken_load(key):
+            raise RuntimeError("store unavailable")
+
+        monkeypatch.setattr(registry, "load", broken_load)
+        probe = intel_small["npb/cg"].subset(range(6))
+        lines = [_predict_payload(probe, id="a"), _predict_payload(probe)]
+        with ServerHandle(registry, ServingConfig(cache_enabled=False)) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                f = sock.makefile("rwb")
+                f.write(b"".join(json.dumps(line).encode() + b"\n" for line in lines))
+                f.flush()
+                replies = [json.loads(f.readline()) for _ in lines]
+        assert [r["status"] for r in replies] == [500, 500], replies
+        assert sorted(r.get("id", "") for r in replies) == ["", "a"], replies
 
     def test_request_ids_round_trip(self, registry, intel_small):
         probe = intel_small["npb/cg"].subset(range(6))
