@@ -7,10 +7,9 @@ count).  This module is the representation-layer bridge between the two:
 
 * :class:`QuantileSketch` — a frozen, validated set of ``(level,
   value)`` pairs plus the run count they summarize.  Sketches merge
-  (weighted mixture-CDF inversion), serialize to JSON-safe dicts, and —
-  the substantive part — recover the moments and model features the
-  predictors need, under an explicit, selectable distributional
-  **assumption**:
+  (weighted mixture-CDF inversion) and — the substantive part — recover
+  the moments and model features the predictors need, under an
+  explicit, selectable distributional **assumption**:
 
   - ``"lognormal"`` — the same p50/p99 closed form the fleet's
     :class:`~repro.serving.fleet.admission.KingmanAdmission` gate uses
@@ -22,10 +21,15 @@ count).  This module is the representation-layer bridge between the two:
 * :class:`SampleProbe` / :class:`SketchProbe` — the ``Probe`` union the
   predictors accept.  A ``SampleProbe`` wraps a
   :class:`~repro.data.dataset.RunCampaign` and reproduces the historical
-  sample path bit for bit; a ``SketchProbe`` carries one runtime sketch
-  plus one per-second-rate sketch per metric and synthesizes the same
-  feature layout (:func:`~repro.core.features.profile_features` order)
-  from percentiles alone.
+  sample path bit for bit; a ``SketchProbe`` stores the runtime sketch
+  and one per-second-rate sketch per metric as matrix rows and
+  synthesizes the same feature layout
+  (:func:`~repro.core.features.profile_features` order) from
+  percentiles alone.
+
+Validation (:func:`_check_rows`) and moment recovery
+(:func:`_row_moments`) are written once, over matrix rows; a
+:class:`QuantileSketch` is their one-row case.
 
 Everything here is deterministic: no RNG is consumed anywhere on the
 sketch path, so a sketch probe answered by the TCP server is bitwise
@@ -34,16 +38,22 @@ identical to the direct in-process call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import as_float_array, as_sample_array, check_positive_int
+from .._deprecation import warn_deprecated
+from .._validation import as_float_array, as_sample_array, check_positive_int, check_random_state
 from ..data.dataset import RunCampaign
 from ..errors import ValidationError
-from ..stats.lognormal import fit_lognormal, lognormal_cdf, lognormal_moments
+from ..registry import ASSUMPTIONS
+from ..registry import assumption as check_assumption
+from ..stats.lognormal import fit_lognormal, fit_lognormal_rows, lognormal_cdf, lognormal_moments
+from ..stats.lognormal import lognormal_quantile
 from ..stats.moments import MomentVector, nearest_feasible
 from .features import FeatureConfig, profile_features
+from .quantile_representation import QuantileRepresentation, _QuantileReconstruction
 from .representations import (
     DistributionRepresentation,
     HistogramRepresentation,
@@ -68,9 +78,6 @@ __all__ = [
 #: levels the percentile-only evaluation uses): p50/p90/p95/p99.
 DEFAULT_SKETCH_LEVELS: tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
 
-#: Registered moment-recovery assumptions.
-ASSUMPTIONS: tuple[str, ...] = ("lognormal", "pearson")
-
 #: Assumption applied when neither the probe nor the consumer pins one.
 DEFAULT_ASSUMPTION = "lognormal"
 
@@ -79,36 +86,56 @@ DEFAULT_ASSUMPTION = "lognormal"
 _LEVEL_TOL = 1e-9
 
 
-def check_assumption(name: str) -> str:
-    """Validate a moment-recovery assumption name; returns it canonical."""
-    if not isinstance(name, str):
+def _check_rows(levels, values) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``(n_rows, n_levels)`` level/value matrices in one pass.
+
+    Per row: at least two levels, strictly increasing inside ``(0, 1)``;
+    finite values, strictly positive and non-decreasing.  Sequences of
+    rows are stacked; rows of different lengths cannot form a matrix.
+    """
+    for rows in (levels, values):
+        sizes = set() if isinstance(rows, np.ndarray) else set(map(len, rows))
+        if len(sizes) > 1:
+            raise ValidationError(
+                f"every sketch of a probe needs the same number of levels, got {sorted(sizes)}"
+            )
+    lv = as_float_array(levels, name="levels", allow_empty=False)
+    vals = as_float_array(values, name="values", allow_empty=False)
+    if lv.ndim != 2 or lv.shape != vals.shape:
         raise ValidationError(
-            f"assumption must be a string, got {type(name).__name__}"
+            f"levels and values must be matching (n_rows, n_levels) matrices, got "
+            f"shapes {lv.shape} and {vals.shape}"
         )
-    key = name.lower()
-    if key not in ASSUMPTIONS:
-        raise ValidationError(
-            f"unknown assumption {name!r}; choose from {ASSUMPTIONS}"
-        )
-    return key
+    if lv.shape[1] < 2:
+        raise ValidationError("a sketch needs at least two levels")
+    if np.any((lv <= 0.0) | (lv >= 1.0)):
+        raise ValidationError("levels must lie strictly inside (0, 1)")
+    if np.any(np.diff(lv, axis=1) <= 0.0):
+        raise ValidationError("levels must be strictly increasing")
+    if np.any(vals <= 0.0):
+        raise ValidationError("sketch values must be strictly positive")
+    if np.any(np.diff(vals, axis=1) < 0.0):
+        raise ValidationError("sketch values must be monotone non-decreasing in level")
+    return lv, vals
 
 
-def _piecewise_linear_moments(levels: np.ndarray, values: np.ndarray) -> MomentVector:
-    """Moments of the piecewise-linear quantile reconstruction.
+def _piecewise_linear_rows(levels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``(n_rows, 4)`` moments of each row's piecewise-linear quantiles.
 
-    The distribution is defined by the quantile function that linearly
-    interpolates ``(levels, values)`` and is constant beyond the first
-    and last level (the same reconstruction
+    A row's quantile function linearly interpolates ``(levels, values)``
+    and is constant beyond the end levels (what
     :class:`~repro.core.quantile_representation.QuantileRepresentation`
     decodes to).  Raw moments ``E[X^k] = ∫₀¹ Q(u)^k du`` integrate in
-    closed form per segment, so no draws and no RNG are involved.
+    closed form per segment over the whole matrix, with no RNG; the
+    central-moment tail stays scalar per row, bitwise the one-row result.
     """
-    u = np.concatenate([[0.0], levels, [1.0]])
-    v = np.concatenate([[values[0]], values, [values[-1]]])
-    du = np.diff(u)
-    v0, v1 = v[:-1], v[1:]
+    n = levels.shape[0]
+    u = np.hstack([np.zeros((n, 1)), levels, np.ones((n, 1))])
+    v = np.hstack([values[:, :1], values, values[:, -1:]])
+    du = np.diff(u, axis=1)
+    v0, v1 = v[:, :-1], v[:, 1:]
     dv = v1 - v0
-    raw = np.zeros(4, dtype=np.float64)
+    raw = np.empty((n, 4), dtype=np.float64)
     # Segments where Q is (nearly) constant integrate as v0^k * du; the
     # rest use the antiderivative of a linear function raised to k.
     flat = np.abs(dv) < 1e-12 * np.maximum(np.abs(v0), 1.0)
@@ -116,21 +143,39 @@ def _piecewise_linear_moments(levels: np.ndarray, values: np.ndarray) -> MomentV
         seg = np.where(
             flat,
             v0**k * du,
-            (v1 ** (k + 1) - v0 ** (k + 1))
-            / ((k + 1) * np.where(flat, 1.0, dv))
-            * du,
+            (v1 ** (k + 1) - v0 ** (k + 1)) / ((k + 1) * np.where(flat, 1.0, dv)) * du,
         )
-        raw[k - 1] = float(seg.sum())
-    e1, e2, e3, e4 = raw
-    m2 = e2 - e1 * e1
-    m3 = e3 - 3.0 * e1 * e2 + 2.0 * e1**3
-    m4 = e4 - 4.0 * e1 * e3 + 6.0 * e1 * e1 * e2 - 3.0 * e1**4
-    if m2 <= 0.0:
-        return MomentVector(float(e1), 0.0, 0.0, 3.0)
-    std = float(np.sqrt(m2))
-    skew = float(m3 / m2**1.5)
-    kurt = float(m4 / (m2 * m2))
-    return MomentVector(*nearest_feasible(float(e1), std, skew, kurt))
+        raw[:, k - 1] = seg.sum(axis=1)
+    out = np.empty((n, 4), dtype=np.float64)
+    for i, (e1, e2, e3, e4) in enumerate(raw.tolist()):
+        m2 = e2 - e1 * e1
+        m3 = e3 - 3.0 * e1 * e2 + 2.0 * e1**3
+        m4 = e4 - 4.0 * e1 * e3 + 6.0 * e1 * e1 * e2 - 3.0 * e1**4
+        if m2 <= 0.0:
+            out[i] = (e1, 0.0, 0.0, 3.0)
+        else:
+            out[i] = nearest_feasible(e1, math.sqrt(m2), m3 / m2**1.5, m4 / (m2 * m2))
+    return out
+
+
+def _row_moments(
+    levels: np.ndarray, values: np.ndarray, kind: str, *, log: bool = False
+) -> np.ndarray:
+    """``(n_rows, 4)`` moments of every sketch row under assumption *kind*.
+
+    With *log*, of the logarithm of the sketched variable: its sketch is
+    ``log`` of the values (quantiles commute with monotone maps), and
+    under the lognormal assumption ``log X`` is normal ``(mu, sigma, 0, 3)``.
+    """
+    if kind == "lognormal":
+        mu, sigma = fit_lognormal_rows(levels, values)
+        if log:
+            return np.column_stack([mu, sigma, np.zeros_like(mu), np.full_like(mu, 3.0)])
+        rows = [lognormal_moments(m, s).as_array() for m, s in zip(mu.tolist(), sigma.tolist())]
+        return np.array(rows, dtype=np.float64).reshape(-1, 4)
+    # The piecewise-linear integrator assumes nothing about sign, so it
+    # applies directly to the log-transformed quantile function.
+    return _piecewise_linear_rows(levels, np.log(values) if log else values)
 
 
 @dataclass(frozen=True)
@@ -141,31 +186,11 @@ class _LogNormalReconstruction(ReconstructedDistribution):
     sigma: float
 
     def sample(self, n: int, rng=None) -> np.ndarray:
-        from .._validation import check_random_state
-
         gen = check_random_state(rng)
         return np.exp(self.mu + self.sigma * gen.standard_normal(n))
 
     def cdf(self, x) -> np.ndarray:
         return lognormal_cdf(x, self.mu, self.sigma)
-
-
-@dataclass(frozen=True)
-class _PiecewiseLinearReconstruction(ReconstructedDistribution):
-    """Piecewise-linear quantile decode of a sketch (Pearson-agnostic)."""
-
-    levels: np.ndarray  # padded with 0/1
-    values: np.ndarray  # padded with the end values
-
-    def sample(self, n: int, rng=None) -> np.ndarray:
-        from .._validation import check_random_state
-
-        gen = check_random_state(rng)
-        return np.interp(gen.random(n), self.levels, self.values)
-
-    def cdf(self, x) -> np.ndarray:
-        xq = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return np.interp(xq, self.values, self.levels, left=0.0, right=1.0)
 
 
 @dataclass(frozen=True)
@@ -190,28 +215,10 @@ class QuantileSketch:
     n_runs: int
 
     def __post_init__(self) -> None:
-        """Validate monotonicity/positivity; normalizes fields to arrays."""
-        lv = as_float_array(self.levels, name="levels", allow_empty=False)
-        vals = as_float_array(self.values, name="values", allow_empty=False)
-        lv = np.atleast_1d(lv)
-        vals = np.atleast_1d(vals)
-        if lv.ndim != 1 or vals.ndim != 1 or lv.shape != vals.shape:
-            raise ValidationError(
-                f"levels and values must be matching 1-D arrays, got "
-                f"shapes {lv.shape} and {vals.shape}"
-            )
-        if lv.size < 2:
-            raise ValidationError("a sketch needs at least two levels")
-        if np.any((lv <= 0.0) | (lv >= 1.0)):
-            raise ValidationError("levels must lie strictly inside (0, 1)")
-        if np.any(np.diff(lv) <= 0.0):
-            raise ValidationError("levels must be strictly increasing")
-        if np.any(vals <= 0.0):
-            raise ValidationError("sketch values must be strictly positive")
-        if np.any(np.diff(vals) < 0.0):
-            raise ValidationError(
-                "sketch values must be monotone non-decreasing in level"
-            )
+        """Validate as the one-row case of the probe checks; normalize."""
+        lv = np.atleast_1d(np.asarray(self.levels, dtype=np.float64))
+        vals = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
+        _check_rows(lv[None], vals[None])
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "values", vals)
         check_positive_int(self.n_runs, name="n_runs")
@@ -297,27 +304,14 @@ class QuantileSketch:
 
     def moments(self, assumption: str = DEFAULT_ASSUMPTION) -> MomentVector:
         """First four moments recovered under *assumption*."""
-        kind = check_assumption(assumption)
-        if kind == "lognormal":
-            mu, sigma = self.lognormal_fit()
-            return lognormal_moments(mu, sigma)
-        return _piecewise_linear_moments(self.levels, self.values)
+        row = _row_moments(self.levels[None], self.values[None], check_assumption(assumption))
+        return MomentVector.from_array(row[0])
 
     def log_moments(self, assumption: str = DEFAULT_ASSUMPTION) -> MomentVector:
-        """Moments of the *logarithm* of the sketched variable.
-
-        Quantiles commute with monotone maps, so the sketch of ``log X``
-        is just ``log`` of this sketch's values.  Under the lognormal
-        assumption ``log X`` is exactly normal: ``(mu, sigma, 0, 3)``.
-        """
+        """Moments of the *logarithm* of the sketched variable (see :func:`_row_moments`)."""
         kind = check_assumption(assumption)
-        if kind == "lognormal":
-            mu, sigma = self.lognormal_fit()
-            return MomentVector(mu, sigma, 0.0, 3.0)
-        log_values = np.log(self.values)
-        # The piecewise-linear integrator assumes nothing about sign, so
-        # it applies directly to the log-transformed quantile function.
-        return _piecewise_linear_moments(self.levels, log_values)
+        row = _row_moments(self.levels[None], self.values[None], kind, log=True)
+        return MomentVector.from_array(row[0])
 
     def reconstruct(
         self, assumption: str = DEFAULT_ASSUMPTION
@@ -327,8 +321,8 @@ class QuantileSketch:
         if kind == "lognormal":
             mu, sigma = self.lognormal_fit()
             return _LogNormalReconstruction(mu, sigma)
-        levels, values = self._padded()
-        return _PiecewiseLinearReconstruction(levels=levels, values=values)
+        # The piecewise-linear quantile decode QuantileRepresentation uses.
+        return _QuantileReconstruction(*self._padded())
 
     def pseudo_samples(
         self, n: int | None = None, assumption: str = DEFAULT_ASSUMPTION
@@ -343,41 +337,28 @@ class QuantileSketch:
         u = (np.arange(count, dtype=np.float64) + 0.5) / count
         kind = check_assumption(assumption)
         if kind == "lognormal":
-            from ..stats.lognormal import lognormal_quantile
-
             mu, sigma = self.lognormal_fit()
             return lognormal_quantile(u, mu, sigma)
         levels, values = self._padded()
         return np.interp(u, levels, values)
 
     def to_wire(self) -> dict:
-        """JSON-safe dict form (plain floats round-trip float64 exactly)."""
-        return {
-            "levels": [float(x) for x in self.levels],
-            "values": [float(x) for x in self.values],
-            "n_runs": int(self.n_runs),
-        }
+        """Deprecated plain-float dict form; the server speaks base64."""
+        warn_deprecated("QuantileSketch.to_wire", "repro.serving.protocol.encode_sketch")
+        return _plain_row(self.levels, self.values, self.n_runs)
 
     @classmethod
     def from_wire(cls, payload: dict) -> "QuantileSketch":
-        """Inverse of :meth:`to_wire`, with full input validation."""
-        if not isinstance(payload, dict):
-            raise ValidationError("sketch must be a JSON object")
-        try:
-            levels = payload["levels"]
-            values = payload["values"]
-            n_runs = payload["n_runs"]
-        except KeyError as exc:
-            raise ValidationError(
-                f"sketch is missing field {exc.args[0]!r}"
-            ) from exc
-        if not isinstance(n_runs, int):
-            raise ValidationError("sketch n_runs must be an integer")
-        return cls(
-            levels=np.asarray(levels, dtype=np.float64),
-            values=np.asarray(values, dtype=np.float64),
-            n_runs=n_runs,
-        )
+        """Deprecated inverse of :meth:`to_wire`, fully validated."""
+        warn_deprecated("QuantileSketch.from_wire", "repro.serving.protocol.decode_sketch")
+        from ..serving.protocol import _sketch_fields
+
+        return cls(*_sketch_fields(payload, np.asarray))
+
+
+def _plain_row(levels, values, n_runs) -> dict:
+    """One sketch in plain-float form (floats round-trip float64 exactly)."""
+    return {"levels": levels.tolist(), "values": values.tolist(), "n_runs": int(n_runs)}
 
 
 @dataclass(frozen=True)
@@ -435,21 +416,21 @@ class SampleProbe:
         return representation.encode(self.campaign.relative_times())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SketchProbe:
-    """A percentile-only probe: runtime + per-metric rate sketches.
+    """A percentile-only probe: runtime + per-metric rate sketches, as rows.
 
     Attributes
     ----------
     benchmark / system:
         Identity of the summarized campaign.
-    runtime_sketch:
-        Sketch of absolute runtimes in seconds.
-    rate_sketches:
-        One sketch per metric of the per-second counter rates, in
-        ``metric_names`` order.
+    levels / values / n_runs:
+        ``(1 + n_metrics, n_levels)`` float64 matrices and an int64 run
+        count per row: row 0 the absolute runtime in seconds, row
+        ``1 + j`` the per-second rate of metric ``j``.  Rows share one
+        level count; level values may differ per row.
     metric_names:
-        Column labels matching ``rate_sketches``.
+        Labels of the rate rows.
     assumption:
         Moment-recovery assumption pinned by the probe's producer, or
         ``None`` to defer to the consumer (predictor/config default).
@@ -457,36 +438,70 @@ class SketchProbe:
 
     benchmark: str
     system: str
-    runtime_sketch: QuantileSketch
-    rate_sketches: tuple[QuantileSketch, ...]
+    levels: np.ndarray
+    values: np.ndarray
+    n_runs: np.ndarray
     metric_names: tuple[str, ...]
-    assumption: str | None = None
+    assumption: str | None
 
-    def __post_init__(self) -> None:
-        """Validate shapes and the optional assumption tag."""
-        if not isinstance(self.benchmark, str) or not isinstance(self.system, str):
+    def __init__(
+        self, benchmark: str, system: str, runtime_sketch: QuantileSketch, rate_sketches,
+        metric_names, assumption: str | None = None,
+    ) -> None:
+        """Stack one runtime sketch and the per-metric rate sketches."""
+        rows = (runtime_sketch, *rate_sketches)
+        if not all(isinstance(sk, QuantileSketch) for sk in rows):
+            raise ValidationError("probe sketches must be QuantileSketch objects")
+        columns = ([sk.levels for sk in rows], [sk.values for sk in rows], [sk.n_runs for sk in rows])
+        self._set(benchmark, system, *columns, metric_names, assumption)
+
+    @classmethod
+    def from_arrays(
+        cls, benchmark, system, levels, values, n_runs, metric_names, assumption=None
+    ) -> "SketchProbe":
+        """From level/value matrices (or equal-length rows), runtime row first."""
+        probe = cls.__new__(cls)
+        probe._set(benchmark, system, levels, values, n_runs, metric_names, assumption)
+        return probe
+
+    def _set(self, benchmark, system, levels, values, n_runs, names, assumption) -> None:
+        """Validate every field in one vectorized pass, then freeze them."""
+        if not isinstance(benchmark, str) or not isinstance(system, str):
             raise ValidationError("probe benchmark/system must be strings")
-        if not isinstance(self.runtime_sketch, QuantileSketch):
-            raise ValidationError("runtime_sketch must be a QuantileSketch")
-        object.__setattr__(self, "rate_sketches", tuple(self.rate_sketches))
-        object.__setattr__(self, "metric_names", tuple(self.metric_names))
-        if len(self.rate_sketches) != len(self.metric_names):
-            raise ValidationError(
-                f"{len(self.rate_sketches)} rate sketches for "
-                f"{len(self.metric_names)} metric names"
-            )
-        for sk in self.rate_sketches:
-            if not isinstance(sk, QuantileSketch):
-                raise ValidationError("rate_sketches must hold QuantileSketch")
-        if self.assumption is not None:
-            object.__setattr__(
-                self, "assumption", check_assumption(self.assumption)
-            )
+        lv, vals = _check_rows(levels, values)
+        names = tuple(names)
+        if len(names) != lv.shape[0] - 1:
+            raise ValidationError(f"{lv.shape[0] - 1} rate sketches for {len(names)} metric names")
+        try:  # bools would pass as integers once converted
+            kinds, runs = set(map(type, n_runs)), np.asarray(n_runs)
+        except (TypeError, ValueError):  # not a flat sequence
+            kinds, runs = set(), np.asarray(None)
+        if kinds & {bool, np.bool_} or runs.dtype.kind not in "iu" or runs.shape != lv.shape[:1]:
+            raise ValidationError("n_runs must hold one integer per sketch row")
+        if np.any(runs <= 0):
+            raise ValidationError("n_runs must be positive")
+        if assumption is not None:
+            assumption = check_assumption(assumption)
+        self.__dict__.update(
+            benchmark=benchmark, system=system, levels=lv, values=vals,
+            n_runs=runs.astype(np.int64), metric_names=names, assumption=assumption,
+        )
 
     @property
     def kind(self) -> str:
         """Wire discriminator: ``"sketch"``."""
         return "sketch"
+
+    @property
+    def runtime_sketch(self) -> QuantileSketch:
+        """Row 0 as a :class:`QuantileSketch` (built on access)."""
+        return QuantileSketch(self.levels[0], self.values[0], int(self.n_runs[0]))
+
+    @property
+    def rate_sketches(self) -> tuple[QuantileSketch, ...]:
+        """Rows 1.. as :class:`QuantileSketch` objects (built on access)."""
+        rows = zip(self.levels[1:], self.values[1:], self.n_runs[1:].tolist())
+        return tuple(QuantileSketch(*row) for row in rows)
 
     @classmethod
     def from_campaign(
@@ -502,17 +517,13 @@ class SketchProbe:
         evaluation uses it to simulate percentile-only ingestion from
         full measured campaigns.
         """
-        rates = campaign.rates()
-        return cls(
-            benchmark=campaign.benchmark,
-            system=campaign.system,
-            runtime_sketch=QuantileSketch.from_samples(campaign.runtimes, levels),
-            rate_sketches=tuple(
-                QuantileSketch.from_samples(rates[:, j], levels)
-                for j in range(rates.shape[1])
-            ),
-            metric_names=campaign.metric_names,
-            assumption=assumption,
+        lv = np.asarray(levels, dtype=np.float64)
+        samples = np.column_stack([campaign.runtimes, campaign.rates()])
+        values = np.quantile(samples, lv, axis=0).T
+        n_rows = values.shape[0]
+        return cls.from_arrays(
+            campaign.benchmark, campaign.system, np.tile(lv, (n_rows, 1)), values,
+            np.full(n_rows, campaign.runtimes.size), campaign.metric_names, assumption,
         )
 
     def resolve_assumption(self, default: str | None = None) -> str:
@@ -538,11 +549,8 @@ class SketchProbe:
         """
         cfg = config or FeatureConfig()
         kind = self.resolve_assumption(assumption)
-        rows = []
-        for sk in self.rate_sketches:
-            mv = sk.log_moments(kind) if cfg.log_rates else sk.moments(kind)
-            rows.append(mv.as_array()[: cfg.n_moments])
-        return np.concatenate(rows) if rows else np.empty(0, dtype=np.float64)
+        rows = _row_moments(self.levels[1:], self.values[1:], kind, log=cfg.log_rates)
+        return rows[:, : cfg.n_moments].ravel()
 
     def relative_runtime_sketch(
         self, assumption: str | None = None
@@ -553,8 +561,8 @@ class SketchProbe:
         way to normalize when only percentiles are known.
         """
         kind = self.resolve_assumption(assumption)
-        mean = self.runtime_sketch.moments(kind).mean
-        return self.runtime_sketch.scaled(1.0 / mean)
+        runtime = self.runtime_sketch
+        return runtime.scaled(1.0 / runtime.moments(kind).mean)
 
     def encode_distribution(
         self,
@@ -569,41 +577,19 @@ class SketchProbe:
         )
 
     def to_wire(self) -> dict:
-        """JSON-safe dict form (see :mod:`repro.serving.protocol`)."""
-        body = {
-            "probe_kind": "sketch",
-            "benchmark": self.benchmark,
-            "system": self.system,
-            "runtime": self.runtime_sketch.to_wire(),
-            "rates": [sk.to_wire() for sk in self.rate_sketches],
-            "metric_names": list(self.metric_names),
-        }
-        if self.assumption is not None:
-            body["assumption"] = self.assumption
-        return body
+        """Deprecated plain-float dict form; the server speaks base64."""
+        warn_deprecated("SketchProbe.to_wire", "repro.serving.protocol.encode_probe")
+        from ..serving.protocol import _sketch_probe_body
+
+        return _sketch_probe_body(self, list(map(_plain_row, self.levels, self.values, self.n_runs)))
 
     @classmethod
     def from_wire(cls, payload: dict) -> "SketchProbe":
-        """Inverse of :meth:`to_wire`, with full input validation."""
-        if not isinstance(payload, dict):
-            raise ValidationError("sketch probe must be a JSON object")
-        try:
-            return cls(
-                benchmark=payload["benchmark"],
-                system=payload["system"],
-                runtime_sketch=QuantileSketch.from_wire(payload["runtime"]),
-                rate_sketches=tuple(
-                    QuantileSketch.from_wire(p) for p in payload["rates"]
-                ),
-                metric_names=tuple(payload["metric_names"]),
-                assumption=payload.get("assumption"),
-            )
-        except KeyError as exc:
-            raise ValidationError(
-                f"sketch probe is missing field {exc.args[0]!r}"
-            ) from exc
-        except TypeError as exc:
-            raise ValidationError(f"malformed sketch probe: {exc}") from exc
+        """Deprecated inverse of :meth:`to_wire`, fully validated."""
+        warn_deprecated("SketchProbe.from_wire", "repro.serving.protocol.decode_probe")
+        from ..serving.protocol import _decode_sketch_probe
+
+        return _decode_sketch_probe(payload, np.asarray)
 
 
 #: The unified predictor input: raw samples or percentile summaries.
@@ -627,13 +613,8 @@ class SketchProbeSpec:
     def __post_init__(self) -> None:
         """Validate levels/assumption eagerly (specs live in configs)."""
         object.__setattr__(self, "levels", tuple(float(x) for x in self.levels))
-        lv = np.asarray(self.levels, dtype=np.float64)
-        if lv.size < 2:
-            raise ValidationError("sketch_levels needs at least two levels")
-        if np.any((lv <= 0.0) | (lv >= 1.0)) or np.any(np.diff(lv) <= 0.0):
-            raise ValidationError(
-                "sketch_levels must be strictly increasing inside (0, 1)"
-            )
+        # The probe's level rules; valid levels are valid values too.
+        _check_rows([self.levels], [self.levels])
         object.__setattr__(self, "assumption", check_assumption(self.assumption))
 
     @property
@@ -688,8 +669,6 @@ def encode_from_sketch(
     kind = check_assumption(assumption)
     if representation.encoding_key == "moments4":
         return sketch.moments(kind).as_array()
-    from .quantile_representation import QuantileRepresentation
-
     if isinstance(representation, QuantileRepresentation):
         return sketch.quantile(representation.levels)
     if isinstance(representation, HistogramRepresentation):

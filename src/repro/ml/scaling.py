@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_2d
-from ..errors import NotFittedError
+from ..errors import NotFittedError, ValidationError
 
 __all__ = ["StandardScaler", "RobustScaler"]
 
@@ -31,7 +31,7 @@ class _BaseScaler:
             raise NotFittedError(f"{type(self).__name__} is not fitted")
         Xv = check_2d(X, name="X")
         if Xv.shape[1] != self.center_.size:
-            raise ValueError(
+            raise ValidationError(
                 f"expected {self.center_.size} features, got {Xv.shape[1]}"
             )
         return (Xv - self.center_) / self.scale_

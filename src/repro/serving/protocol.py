@@ -139,17 +139,51 @@ def decode_sketch(payload: dict):
     """Inverse of :func:`encode_sketch`, with full input validation."""
     from ..core.sketch import QuantileSketch
 
-    if not isinstance(payload, dict):
+    return QuantileSketch(*_sketch_fields(payload, decode_array))
+
+
+def _sketch_fields(row, decode) -> tuple:
+    """``(levels, values, n_runs)`` of one sketch object, arrays read by *decode*."""
+    if not isinstance(row, dict):
         raise ValidationError("sketch must be a JSON object")
     try:
-        levels = decode_array(payload["levels"])
-        values = decode_array(payload["values"])
-        n_runs = payload["n_runs"]
+        return decode(row["levels"]), decode(row["values"]), row["n_runs"]
     except KeyError as exc:
         raise ValidationError(f"sketch is missing field {exc.args[0]!r}") from exc
-    if not isinstance(n_runs, int) or isinstance(n_runs, bool):
-        raise ValidationError("sketch n_runs must be an integer")
-    return QuantileSketch(levels=levels, values=values, n_runs=n_runs)
+
+
+def _encode_rows(matrix: np.ndarray) -> list[str]:
+    """:func:`encode_array` of each row of a float64 matrix, in one pass."""
+    raw, width = np.ascontiguousarray(matrix, dtype="<f8").tobytes(), 8 * matrix.shape[1]
+    return [base64.b64encode(raw[i : i + width]).decode("ascii") for i in range(0, len(raw), width)]
+
+
+def _sketch_probe_body(probe, rows: list) -> dict:
+    """The wire dict of a sketch probe, given its encoded rows (runtime first)."""
+    body = {"probe_kind": "sketch", "benchmark": probe.benchmark, "system": probe.system}
+    body.update(runtime=rows[0], rates=rows[1:], metric_names=list(probe.metric_names))
+    if probe.assumption is not None:
+        body["assumption"] = probe.assumption
+    return body
+
+
+def _decode_sketch_probe(body, decode):
+    """Inverse of :func:`_sketch_probe_body`; *decode* reads each row's arrays."""
+    from ..core.sketch import SketchProbe
+
+    if not isinstance(body, dict):
+        raise ValidationError("sketch probe must be a JSON object")
+    try:
+        rows = [_sketch_fields(r, decode) for r in (body["runtime"], *body["rates"])]
+        levels, values, n_runs = zip(*rows)
+        return SketchProbe.from_arrays(
+            body["benchmark"], body["system"], levels, values, n_runs,
+            body["metric_names"], body.get("assumption"),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"sketch probe is missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"malformed sketch probe: {exc}") from exc
 
 
 def encode_probe(probe) -> dict:
@@ -164,22 +198,16 @@ def encode_probe(probe) -> dict:
     if isinstance(p, SampleProbe):
         return {"probe_kind": "samples", "campaign": encode_campaign(p.campaign)}
     assert isinstance(p, SketchProbe)
-    body = {
-        "probe_kind": "sketch",
-        "benchmark": p.benchmark,
-        "system": p.system,
-        "runtime": encode_sketch(p.runtime_sketch),
-        "rates": [encode_sketch(sk) for sk in p.rate_sketches],
-        "metric_names": list(p.metric_names),
-    }
-    if p.assumption is not None:
-        body["assumption"] = p.assumption
-    return body
+    rows = [
+        {"levels": lv, "values": v, "n_runs": n}
+        for lv, v, n in zip(_encode_rows(p.levels), _encode_rows(p.values), p.n_runs.tolist())
+    ]
+    return _sketch_probe_body(p, rows)
 
 
 def decode_probe(payload: dict):
     """Inverse of :func:`encode_probe`, with full input validation."""
-    from ..core.sketch import SampleProbe, SketchProbe
+    from ..core.sketch import SampleProbe
 
     if not isinstance(payload, dict):
         raise ValidationError("probe must be a JSON object")
@@ -191,23 +219,7 @@ def decode_probe(payload: dict):
             raise ValidationError("samples probe is missing 'campaign'") from exc
         return SampleProbe(decode_campaign(campaign))
     if kind == "sketch":
-        try:
-            return SketchProbe(
-                benchmark=payload["benchmark"],
-                system=payload["system"],
-                runtime_sketch=decode_sketch(payload["runtime"]),
-                rate_sketches=tuple(
-                    decode_sketch(p) for p in payload["rates"]
-                ),
-                metric_names=tuple(payload["metric_names"]),
-                assumption=payload.get("assumption"),
-            )
-        except KeyError as exc:
-            raise ValidationError(
-                f"sketch probe is missing field {exc.args[0]!r}"
-            ) from exc
-        except TypeError as exc:
-            raise ValidationError(f"malformed sketch probe: {exc}") from exc
+        return _decode_sketch_probe(payload, decode_array)
     raise ValidationError(
         f'probe_kind must be "samples" or "sketch", got {kind!r}'
     )
@@ -279,9 +291,8 @@ def probe_fingerprint(
             "system": p.system,
             "metric_names": list(p.metric_names),
             "assumption": p.assumption,
-            "n_sketches": 1 + len(p.rate_sketches),
-            "n_runs": [int(p.runtime_sketch.n_runs)]
-            + [int(sk.n_runs) for sk in p.rate_sketches],
+            "n_sketches": int(p.values.shape[0]),
+            "n_runs": p.n_runs.tolist(),
             "n_samples": int(n_samples),
             "sample_seed": int(sample_seed),
         },
@@ -289,9 +300,8 @@ def probe_fingerprint(
         separators=(",", ":"),
     )
     h.update(canon.encode())
-    for sk in (p.runtime_sketch, *p.rate_sketches):
-        h.update(np.ascontiguousarray(sk.levels, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(sk.values, dtype="<f8").tobytes())
+    # Row-major [levels_r | values_r]: each sketch's levels, then values.
+    h.update(np.ascontiguousarray(np.hstack([p.levels, p.values]), dtype="<f8").tobytes())
     return h.hexdigest()
 
 

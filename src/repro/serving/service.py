@@ -415,12 +415,14 @@ class PredictionService:
                         self._executor, self._compute_group, model_key, requests
                     )
                 except Exception as exc:  # noqa: BLE001 — batch loop must survive
-                    self._stats["errors"] += 1
-                    obs.counter("serving.errors")
                     # One dict per request: the server writes each
                     # request's own ``id`` into its response.
                     message = f"{type(exc).__name__}: {exc}"
                     responses = [error(500, message) for _ in requests]
+            failed = sum(r["status"] == 500 for r in responses)
+            if failed:
+                self._stats["errors"] += failed
+                obs.counter("serving.errors", failed)
             if self.admission is not None:
                 # Per-request service effort: the group's executor wall
                 # time amortized across its requests (batching shares
@@ -438,23 +440,30 @@ class PredictionService:
 
         Per-request ``predict_vector`` calls, never a stacked matrix —
         identical math to the direct library path, so served outputs are
-        bit-identical regardless of how requests were batched.
+        bit-identical regardless of how requests were batched.  A request
+        that fails is answered alone (``ValidationError`` → 400, else
+        500); a model that fails to load fails the whole group.
         """
         predictor = self.registry.load(model_key)
         responses = []
         for request in requests:
-            vector = predictor.predict_vector(request.probe)
-            body = ok(
-                model_key=model_key,
-                representation=type(predictor.representation).__name__,
-                vector=[float(v) for v in vector],
-                cached=False,
-            )
-            if request.n_samples > 0:
-                rng = np.random.default_rng(int(request.sample_seed))
-                draws = predictor.representation.reconstruct(
-                    np.asarray(vector, dtype=np.float64)
-                ).sample(request.n_samples, rng=rng)
-                body["samples"] = encode_array(draws)
+            try:
+                vector = predictor.predict_vector(request.probe)
+                body = ok(
+                    model_key=model_key,
+                    representation=type(predictor.representation).__name__,
+                    vector=[float(v) for v in vector],
+                    cached=False,
+                )
+                if request.n_samples > 0:
+                    rng = np.random.default_rng(int(request.sample_seed))
+                    draws = predictor.representation.reconstruct(
+                        np.asarray(vector, dtype=np.float64)
+                    ).sample(request.n_samples, rng=rng)
+                    body["samples"] = encode_array(draws)
+            except ValidationError as exc:
+                body = error(400, str(exc))
+            except Exception as exc:  # noqa: BLE001 — fails this request, not its batch
+                body = error(500, f"{type(exc).__name__}: {exc}")
             responses.append(body)
         return responses

@@ -42,6 +42,7 @@ __all__ = [
     "cs2_from_percentiles",
     "cs2_from_moments",
     "fit_lognormal",
+    "fit_lognormal_rows",
     "lognormal_moments",
     "lognormal_quantile",
     "lognormal_cdf",
@@ -107,7 +108,8 @@ def fit_lognormal(levels, values) -> tuple[float, float]:
     ln(p50)``, ``sigma = ln(p99/p50)/z99`` — matching
     :func:`cs2_from_percentiles` (and therefore the admission gate)
     bit for bit.  Otherwise the line ``ln(q_p) = mu + sigma * z_p`` is
-    least-squares fitted through all levels.
+    least-squares fitted through all levels.  This is the one-row case
+    of :func:`fit_lognormal_rows`.
 
     ``sigma`` is clamped to be non-negative (quantile values are
     validated monotone upstream, but a flat sketch fits sigma = 0).
@@ -127,24 +129,38 @@ def fit_lognormal(levels, values) -> tuple[float, float]:
         raise ValidationError("levels must lie strictly inside (0, 1)")
     if np.any(vals <= 0.0):
         raise ValidationError("quantile values must be strictly positive")
+    mu, sigma = fit_lognormal_rows(lv[None], vals[None])
+    return float(mu[0]), float(sigma[0])
 
-    i50 = np.flatnonzero(np.abs(lv - 0.5) < _LEVEL_TOL)
-    i99 = np.flatnonzero(np.abs(lv - 0.99) < _LEVEL_TOL)
-    if i50.size and i99.size:
-        p50 = float(vals[i50[0]])
-        p99 = float(vals[i99[0]])
-        return math.log(p50), sigma_from_percentiles(p50, p99)
 
-    z = _z_scores(lv)
-    logv = np.log(vals)
-    z_mean = float(z.mean())
-    v_mean = float(logv.mean())
-    denom = float(((z - z_mean) ** 2).sum())
-    if denom <= 0.0:
+def fit_lognormal_rows(levels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fit_lognormal` of every row of validated ``(n_rows, n_levels)`` matrices.
+
+    Rows holding the 0.5/0.99 pair take the closed form, per row on Python
+    floats (``math.log``, as the admission gate); the rest are least-squares
+    fitted together with array operations whose results match one row's.
+    """
+    hit50 = np.abs(levels - 0.5) < _LEVEL_TOL
+    hit99 = np.abs(levels - 0.99) < _LEVEL_TOL
+    closed = hit50.any(axis=1) & hit99.any(axis=1)
+    mu, sigma = np.empty((2, levels.shape[0]), dtype=np.float64)
+    rows = np.flatnonzero(closed)
+    p50 = values[rows, hit50[rows].argmax(axis=1)].tolist()
+    p99 = values[rows, hit99[rows].argmax(axis=1)].tolist()
+    mu[rows] = [math.log(p) for p in p50]
+    sigma[rows] = [sigma_from_percentiles(a, b) for a, b in zip(p50, p99)]
+    rows = np.flatnonzero(~closed)
+    z = _z_scores(levels[rows])
+    logv = np.log(values[rows])
+    z_mean = z.mean(axis=1, keepdims=True)
+    v_mean = logv.mean(axis=1, keepdims=True)
+    denom = ((z - z_mean) ** 2).sum(axis=1)
+    if np.any(denom <= 0.0):
         raise ValidationError("levels are degenerate: need distinct levels")
-    sigma = float(((z - z_mean) * (logv - v_mean)).sum() / denom)
-    sigma = max(sigma, 0.0)
-    mu = v_mean - sigma * z_mean
+    slope = ((z - z_mean) * (logv - v_mean)).sum(axis=1) / denom
+    slope = np.where(slope < 0.0, 0.0, slope)  # max(slope, 0.0), row-wise
+    sigma[rows] = slope
+    mu[rows] = v_mean[:, 0] - slope * z_mean[:, 0]
     return mu, sigma
 
 

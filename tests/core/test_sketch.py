@@ -76,6 +76,59 @@ class TestQuantileSketchValidation:
         with pytest.raises(AttributeError):
             sketch.n_runs = 99
 
+    # The same rules, enforced on a whole probe matrix at once: each
+    # corruption hits one rate row of an otherwise valid 3-row probe.
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lv, v, n: v.__setitem__((2, 1), np.nan),
+            lambda lv, v, n: lv.__setitem__((2, 0), 0.0),
+            lambda lv, v, n: lv.__setitem__((2, 3), 1.0),
+            lambda lv, v, n: lv.__setitem__((2, slice(0, 2)), (0.9, 0.5)),
+            lambda lv, v, n: v.__setitem__((2, 0), 0.0),
+            lambda lv, v, n: v.__setitem__((2, slice(0, 2)), (2.0, 1.0)),
+            lambda lv, v, n: n.__setitem__(2, 0),
+            lambda lv, v, n: n.__setitem__(2, True),
+        ],
+        ids=["nan", "level0", "level1", "unsorted", "nonpositive", "decreasing",
+             "zero-runs", "bool-runs"],
+    )
+    def test_probe_matrix_enforces_the_same_rules(self, corrupt):
+        lv = np.tile(DEFAULT_SKETCH_LEVELS, (3, 1))
+        v = np.tile([1.0, 2.0, 3.0, 4.0], (3, 1))
+        n = [10, 10, 10]
+        SketchProbe.from_arrays("b", "s", lv, v, n, ("m0", "m1"))
+        corrupt(lv, v, n)
+        with pytest.raises(ValidationError):
+            SketchProbe.from_arrays("b", "s", lv, v, n, ("m0", "m1"))
+
+    def test_probe_matrix_rejects_shape_and_identity_errors(self):
+        lv = np.tile(DEFAULT_SKETCH_LEVELS, (3, 1))
+        v = np.tile([1.0, 2.0, 3.0, 4.0], (3, 1))
+        ok = ("b", "s", lv, v, [10, 10, 10], ("m0", "m1"))
+        for bad in (
+            ("b", "s", lv[:, :1], v[:, :1], [10, 10, 10], ("m0", "m1")),
+            ("b", "s", lv, v[:2], [10, 10, 10], ("m0", "m1")),
+            ("b", "s", lv, v, [10, 10], ("m0", "m1")),
+            ("b", "s", lv, v, [10, 10, 10.0], ("m0", "m1")),
+            ("b", "s", lv, v, [10, 10, 10], ("m0",)),
+            (7, "s", lv, v, [10, 10, 10], ("m0", "m1")),
+            ok[:-1] + (("m0", "m1"), "cauchy"),
+        ):
+            with pytest.raises(ValidationError):
+                SketchProbe.from_arrays(*bad)
+        assert SketchProbe.from_arrays(*ok).n_runs.tolist() == [10, 10, 10]
+
+    def test_ragged_levels_are_rejected_by_the_constructor(self, sketch):
+        short = QuantileSketch(levels=(0.5, 0.9, 0.99), values=(1.0, 2.0, 3.0), n_runs=5)
+        with pytest.raises(ValidationError, match="same number of levels"):
+            SketchProbe("b", "s", sketch, (sketch, short), ("m0", "m1"))
+        # Equal level counts with different level values are fine.
+        other = QuantileSketch(levels=(0.1, 0.2, 0.3, 0.4), values=(1, 2, 3, 4), n_runs=5)
+        probe = SketchProbe("b", "s", sketch, (sketch, other), ("m0", "m1"))
+        assert np.array_equal(probe.levels[2], other.levels)
+        assert np.array_equal(probe.rate_sketches[1].values, other.values)
+
 
 class TestQuantileSketchBasics:
     def test_from_samples_matches_numpy_quantiles(self, lognormal_samples):
@@ -96,8 +149,18 @@ class TestQuantileSketchBasics:
         assert doubled.n_runs == sketch.n_runs
 
     def test_wire_round_trip_is_exact(self, sketch):
-        wire = json.loads(json.dumps(sketch.to_wire()))
-        back = QuantileSketch.from_wire(wire)
+        """The deprecated plain-float codec: one warning each way, same bytes."""
+        with pytest.warns(DeprecationWarning, match="encode_sketch") as caught:
+            body = sketch.to_wire()
+        assert len(caught) == 1
+        assert body == {
+            "levels": [float(x) for x in sketch.levels],
+            "values": [float(x) for x in sketch.values],
+            "n_runs": int(sketch.n_runs),
+        }
+        with pytest.warns(DeprecationWarning, match="decode_sketch") as caught:
+            back = QuantileSketch.from_wire(json.loads(json.dumps(body)))
+        assert len(caught) == 1
         assert np.array_equal(back.levels, sketch.levels)
         assert np.array_equal(back.values, sketch.values)
         assert back.n_runs == sketch.n_runs
@@ -213,9 +276,33 @@ class TestProbes:
         assert r > 0.99
 
     def test_sketch_probe_wire_round_trip(self, intel_campaigns):
+        """The deprecated plain-float codec: one warning each way, same bytes."""
         camp = next(iter(intel_campaigns.values()))
         probe = SketchProbe.from_campaign(camp, assumption="pearson")
-        back = SketchProbe.from_wire(json.loads(json.dumps(probe.to_wire())))
+        with pytest.warns(DeprecationWarning, match="encode_probe") as caught:
+            body = probe.to_wire()
+        assert len(caught) == 1
+        sketches = (probe.runtime_sketch, *probe.rate_sketches)
+        rows = [
+            {"levels": [float(x) for x in sk.levels],
+             "values": [float(x) for x in sk.values], "n_runs": int(sk.n_runs)}
+            for sk in sketches
+        ]
+        assert body == {
+            "probe_kind": "sketch",
+            "benchmark": probe.benchmark,
+            "system": probe.system,
+            "runtime": rows[0],
+            "rates": rows[1:],
+            "metric_names": list(probe.metric_names),
+            "assumption": "pearson",
+        }
+        with pytest.warns(DeprecationWarning, match="decode_probe") as caught:
+            back = SketchProbe.from_wire(json.loads(json.dumps(body)))
+        assert len(caught) == 1
+        assert np.array_equal(back.levels, probe.levels)
+        assert np.array_equal(back.values, probe.values)
+        assert np.array_equal(back.n_runs, probe.n_runs)
         assert back.benchmark == probe.benchmark
         assert back.assumption == "pearson"
         assert np.array_equal(

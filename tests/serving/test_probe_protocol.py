@@ -13,13 +13,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.sketch import SampleProbe, SketchProbe
+from repro.core.sketch import QuantileSketch, SampleProbe, SketchProbe
 from repro.errors import ValidationError
 from repro.serving import ModelRegistry, ServerHandle, ServingClient
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     decode_array,
     decode_probe,
+    encode_array,
     encode_campaign,
     encode_probe,
     predict_request,
@@ -68,6 +69,24 @@ class TestWireEncoding:
             assert np.array_equal(a.levels, b.levels)
             assert np.array_equal(a.values, b.values)
             assert a.n_runs == b.n_runs
+
+    def test_decode_and_predict_build_no_quantile_sketch(
+        self, few_runs_predictor, sketch_probe, monkeypatch
+    ):
+        """The columnar path never materializes per-metric sketch objects."""
+        assert len(sketch_probe.metric_names) == 68
+        wire = json.loads(json.dumps(encode_probe(sketch_probe)))
+        built = []
+        original = QuantileSketch.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(QuantileSketch, "__post_init__", counting)
+        vector = few_runs_predictor.predict_vector(decode_probe(wire))
+        assert len(built) == 0
+        assert np.array_equal(vector, few_runs_predictor.predict_vector(sketch_probe))
 
     def test_decode_rejects_unknown_kind(self):
         with pytest.raises(ValidationError):
@@ -173,6 +192,20 @@ class TestServerCompat:
                     )
                 with pytest.raises(ValidationError):
                     client.predict("uc1")
+
+    def test_ragged_level_probe_is_400(self, registry, sketch_probe):
+        """Rows with different level counts cannot form one matrix."""
+        body = predict_request("uc1", sketch_probe)
+        body["probe"]["rates"][5] = {
+            "levels": encode_array([0.5, 0.9, 0.99]),
+            "values": encode_array([1.0, 2.0, 3.0]),
+            "n_runs": 8,
+        }
+        with ServerHandle(registry) as server:
+            with ServingClient("127.0.0.1", server.port) as client:
+                reply = client.request(body)
+        assert reply["status"] == 400, reply
+        assert "same number of levels" in reply["error"]
 
     def test_sampled_draws_from_sketch_probe(self, registry, sketch_probe):
         with ServerHandle(registry) as server:

@@ -20,6 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.sketch import SketchProbe
+from repro.data.dataset import RunCampaign
 from repro.errors import ValidationError
 from repro.serving import (
     ModelRegistry,
@@ -28,7 +30,7 @@ from repro.serving import (
     ServingClient,
     ServingConfig,
 )
-from repro.serving.protocol import decode_array, encode_campaign
+from repro.serving.protocol import decode_array, encode_campaign, predict_request
 
 from repro.serving import __main__ as cli
 
@@ -419,6 +421,35 @@ class TestProtocolEdges:
                 replies = [json.loads(f.readline()) for _ in lines]
         assert [r["status"] for r in replies] == [500, 500], replies
         assert sorted(r.get("id", "") for r in replies) == ["", "a"], replies
+
+    @pytest.mark.parametrize("kind", ["samples", "sketch"])
+    def test_bad_probe_fails_alone_in_its_batch(
+        self, registry, few_runs_predictor, intel_small, kind
+    ):
+        """A probe the model cannot take is a 400 for that request only.
+
+        A 3-metric probe and a valid 68-metric sketch probe share one
+        batch; the narrow one must not turn its batch-mate into a 500.
+        """
+        camp = intel_small["npb/cg"].subset(range(10))
+        narrow = RunCampaign(
+            camp.benchmark, camp.system, camp.runtimes, camp.counters[:, :3],
+            camp.metric_names[:3],
+        )
+        bad = SketchProbe.from_campaign(narrow) if kind == "sketch" else narrow
+        good = SketchProbe.from_campaign(camp)
+        config = ServingConfig(cache_enabled=False)
+        replies, stats = _submit_all(
+            registry, config, [predict_request("uc1", bad), predict_request("uc1", good)]
+        )
+        assert stats["batch_size_histogram"] == {"2": 1}
+        assert [r["status"] for r in replies] == [400, 200], replies
+        assert "expected 272 features, got 12" in replies[0]["error"]
+        assert np.array_equal(
+            np.asarray(replies[1]["vector"], dtype=np.float64),
+            few_runs_predictor.predict_vector(good),
+        )
+        assert stats["errors"] == 0
 
     def test_request_ids_round_trip(self, registry, intel_small):
         probe = intel_small["npb/cg"].subset(range(6))
